@@ -44,13 +44,16 @@ import sys
 
 import numpy as np
 
+from repro.kernels import (
+    ENGINES, KERNELS, TRACE_ALGORITHMS, find, select, unique,
+)
 from repro.machine.counters import format_count
-
-_ALGORITHMS = ("pagerank", "bfs", "sssp", "bc", "coloring", "mst", "prim",
-               "triangles", "components")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.observability.footprint import reconcile_cells
+
+    sm_kernels = select(runtime="sm", engine="interpreted")
     ap = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -62,10 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=42)
 
     run = sub.add_parser("run", help="run one algorithm")
-    run.add_argument("algorithm", choices=_ALGORITHMS)
+    run.add_argument("algorithm", choices=unique(
+        n for s in sm_kernels for n in (s.name,) + s.aliases))
     run.add_argument("dataset")
     run.add_argument("--direction", default="pull",
-                     choices=("push", "pull", "push-pa"))
+                     choices=unique(s.variant for s in sm_kernels))
     run.add_argument("--scale", type=int, default=12)
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--threads", "-P", type=int, default=16)
@@ -109,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "inferred write sets against dynamic traces "
                          "(off by default)")
     an.add_argument("--no-reconcile", action="store_true",
-                    help="with --effects: skip the 12-cell dynamic "
+                    help=f"with --effects: skip the "
+                         f"{len(reconcile_cells())}-cell dynamic "
                          "write-set reconciliation")
     an.add_argument("--format", default="text", choices=("text", "json"),
                     help="output format; json emits one machine-readable "
@@ -136,21 +141,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one kernel under the tracer and export "
              "Chrome-trace/JSONL/metrics views")
     tr.add_argument("algorithm", nargs="?", default=None,
-                    choices=("pagerank", "bfs", "sssp", "cc"))
+                    choices=TRACE_ALGORITHMS)
     tr.add_argument("--variant", default="push",
-                    choices=("push", "pull", "push-pa", "switching", "mp"),
-                    help="push/pull everywhere; push-pa (SM pagerank), "
+                    choices=unique(s.variant.removeprefix("rma-")
+                                   for s in KERNELS
+                                   if s.name in TRACE_ALGORITHMS),
+                    help="push/pull everywhere (on DM pagerank they name "
+                         "rma-push/rma-pull); push-pa (SM pagerank), "
                          "switching (bfs), mp (DM pagerank)")
-    tr.add_argument("--engine", default="interpreted",
-                    choices=("interpreted", "batched"),
+    tr.add_argument("--engine", default="interpreted", choices=ENGINES,
                     help="batched = stream-emitting kernels "
                          "(repro.streams); byte-identical counters, "
                          "far less Python dispatch")
     tr.add_argument("--dm", action="store_true",
                     help="run on the distributed-memory runtime")
     tr.add_argument("--faults", action="store_true",
-                    help="inject the default chaos fault plan "
-                         "(requires --dm)")
+                    help="inject the default chaos fault plan of the "
+                         "selected runtime (SM, or DM with --dm)")
     tr.add_argument("--out", required=True,
                     help="output directory (or the target file "
                          "with --bench)")
@@ -299,7 +306,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.generators.registry import load_dataset
+    from repro.generators.registry import DATASETS, load_dataset
     from repro.machine.cost_model import MACHINES
     from repro.machine.memory import CountingMemory
     from repro.runtime.sm import SMRuntime
@@ -308,56 +315,23 @@ def _cmd_run(args) -> int:
         print(f"unknown machine {args.machine!r}; have {sorted(MACHINES)}",
               file=sys.stderr)
         return 2
-    weighted = args.algorithm in ("sssp", "mst", "prim")
+    if args.dataset not in DATASETS:
+        print(f"unknown dataset {args.dataset!r}; have {sorted(DATASETS)}",
+              file=sys.stderr)
+        return 2
+    spec = find(args.algorithm, variant=args.direction)
     g = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
-                     weighted=weighted)
+                     weighted=spec.weighted)
     machine = MACHINES[args.machine].scaled(args.cache_scale)
     rt = SMRuntime(g, P=args.threads, machine=machine,
                    memory=CountingMemory(machine.hierarchy))
     src = (args.source if args.source is not None
            else int(np.argmax(np.diff(g.offsets))))
-
-    if args.algorithm == "pagerank":
-        from repro.algorithms import pagerank
-        r = pagerank(g, rt, direction=args.direction,
-                     iterations=args.iterations)
-        extra = f"top vertex {int(np.argmax(r.ranks))}"
-    elif args.algorithm == "bfs":
-        from repro.algorithms import bfs
-        r = bfs(g, rt, src, direction=args.direction)
-        extra = f"reached {int((r.level >= 0).sum())}/{g.n} from {src}"
-    elif args.algorithm == "sssp":
-        from repro.algorithms import sssp_delta
-        r = sssp_delta(g, rt, src, direction=args.direction)
-        extra = f"{r.epochs} epochs from {src}"
-    elif args.algorithm == "bc":
-        from repro.algorithms import betweenness_centrality
-        r = betweenness_centrality(g, rt, direction=args.direction,
-                                   sources=min(args.iterations, g.n))
-        extra = f"top broker {int(np.argmax(r.bc))} ({r.n_sources} sources)"
-    elif args.algorithm == "coloring":
-        from repro.algorithms import boman_coloring
-        r = boman_coloring(g, rt, direction=args.direction, max_colors=1024)
-        extra = f"{r.n_colors} colors in {r.iterations} iterations"
-    elif args.algorithm == "mst":
-        from repro.algorithms import boruvka_mst
-        r = boruvka_mst(g, rt, direction=args.direction)
-        extra = f"{len(r.edges)} edges, weight {r.total_weight:.1f}"
-    elif args.algorithm == "prim":
-        from repro.algorithms import prim_mst
-        r = prim_mst(g, rt, direction=args.direction)
-        extra = f"{len(r.edges)} edges, weight {r.total_weight:.1f}"
-    elif args.algorithm == "triangles":
-        from repro.algorithms import triangle_count
-        r = triangle_count(g, rt, direction=args.direction)
-        extra = f"{r.total} triangles"
-    else:
-        from repro.algorithms.connected_components import connected_components
-        r = connected_components(g, rt, direction=args.direction)
-        extra = f"{r.n_components} components in {r.rounds} rounds"
+    r = spec.run(g, rt, start=src, budget=args.iterations)
 
     print(f"{args.algorithm} [{args.direction}] on {args.dataset} "
-          f"(scale {args.scale}, T={args.threads}, {args.machine}): {extra}")
+          f"(scale {args.scale}, T={args.threads}, {args.machine}): "
+          f"{spec.summary(r, g, src)}")
     print(f"simulated time: {r.time:,.0f} mtu")
     c = r.counters
     print("events: " + "  ".join(
@@ -384,7 +358,7 @@ def _cmd_analyze(args) -> int:
     from pathlib import Path
 
     from repro.analysis.lint import lint_paths
-    from repro.analysis.runner import analyze_algorithms
+    from repro.analysis.runner import ALGORITHMS, analyze_algorithms
 
     # each flag selects its pass; with none given, run everything except
     # the chaos suite and effect inference, which are opt-in (grids of
@@ -425,7 +399,7 @@ def _cmd_analyze(args) -> int:
         failed |= bool(findings)
 
     if do_race:
-        say(f"race detector: 7 algorithms x push/pull, "
+        say(f"race detector: {len(ALGORITHMS)} algorithms x push/pull, "
             f"P={args.threads}, {args.dataset} n={args.scale}")
         try:
             runs = analyze_algorithms(
@@ -446,7 +420,7 @@ def _cmd_analyze(args) -> int:
         failed |= bool(bad)
 
     if do_dm:
-        from repro.analysis.dm_runner import analyze_dm
+        from repro.analysis.dm_runner import DM_MATRIX, analyze_dm
 
         from repro.harness.config import clamped_scale
         n_dm = (clamped_scale(args.scale, 96,
@@ -454,7 +428,7 @@ def _cmd_analyze(args) -> int:
                                      "caps its epoch grid; pass --dm to "
                                      "run the requested scale")
                 if not args.dm else args.scale)
-        say(f"epoch checker: 4 DM kernels x backends, "
+        say(f"epoch checker: {len(DM_MATRIX)} DM kernels x backends, "
             f"P={args.threads}, {args.dataset} n={n_dm}")
         runs = analyze_dm(n=n_dm, P=args.threads, seed=args.seed,
                           slack=args.slack, dataset=args.dataset,
@@ -471,7 +445,8 @@ def _cmd_analyze(args) -> int:
 
     if do_faults:
         from repro.analysis.fault_runner import (
-            analyze_faults, analyze_sm_faults, format_overhead_table,
+            DM_MATRIX, SM_MATRIX, analyze_faults, analyze_sm_faults,
+            format_overhead_table,
         )
 
         from repro.harness.config import clamped_scale
@@ -481,15 +456,15 @@ def _cmd_analyze(args) -> int:
         seeds = tuple(range(max(1, args.fault_seeds)))
         runs = []
         if fault_scope_dm:
-            say(f"chaos suite: 4 DM kernels x backends x fault plans, "
-                f"P={args.threads}, {args.dataset} n={n_f}, "
+            say(f"chaos suite: {len(DM_MATRIX)} DM kernels x backends x "
+                f"fault plans, P={args.threads}, {args.dataset} n={n_f}, "
                 f"{len(seeds)} fault seed(s)")
             runs += analyze_faults(n=n_f, P=args.threads, seed=args.seed,
                                    dataset=args.dataset, fault_seeds=seeds,
                                    progress=progress)
         if fault_scope_sm:
-            say(f"chaos suite: 4 SM kernels x push/pull x fault plans, "
-                f"P={args.threads}, {args.dataset} n={n_f}, "
+            say(f"chaos suite: {len(SM_MATRIX)} SM kernels x push/pull x "
+                f"fault plans, P={args.threads}, {args.dataset} n={n_f}, "
                 f"{len(seeds)} fault seed(s)")
             runs += analyze_sm_faults(n=n_f, P=args.threads, seed=args.seed,
                                       dataset=args.dataset,
@@ -513,7 +488,9 @@ def _cmd_analyze(args) -> int:
     if do_effects:
         from repro.analysis.effect_report import render_text, report_to_json
         from repro.analysis.effects import analyze_effects
-        from repro.observability.footprint import reconcile_effects
+        from repro.observability.footprint import (
+            reconcile_cells, reconcile_effects,
+        )
 
         say(f"effect inference: 17 kernels (SM+DM), rules ANL101-ANL105")
         report = analyze_effects()
@@ -522,7 +499,7 @@ def _cmd_analyze(args) -> int:
         entry = {"report": report_to_json(report), "ok": report.ok}
         if not args.no_reconcile:
             say("reconciling static write sets against dynamic traces "
-                "(14 cells)...")
+                f"({len(reconcile_cells())} cells)...")
             cells = reconcile_effects(
                 report=report, P=args.threads,
                 progress=None if as_json else (
@@ -562,13 +539,13 @@ def main(argv=None) -> int:
         return _cmd_info()
     if args.command == "stats":
         return _cmd_stats(args)
-    if args.command == "run":
-        return _cmd_run(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
-    if args.command == "trace":
-        from repro.observability.driver import trace_main
+    if args.command in ("run", "trace"):
         try:
+            if args.command == "run":
+                return _cmd_run(args)
+            from repro.observability.driver import trace_main
             return trace_main(args)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)

@@ -174,3 +174,19 @@ def mst_weight_reference(g: CSRGraph) -> float:
             parent[rv] = rw
             total += wt
     return total
+
+
+def cc_reference(g: CSRGraph) -> np.ndarray:
+    """Connected-component label per vertex: its smallest member id."""
+    labels = np.full(g.n, -1, dtype=np.int64)
+    for s in range(g.n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = s
+        stack = [s]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if labels[w] < 0:
+                    labels[w] = s
+                    stack.append(int(w))
+    return labels

@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 from repro.analysis.race import RaceReport
+from repro.kernels import select
 from repro.machine.counters import PerfCounters
-from repro.pram.costs import (
-    AlgorithmCost, bc_cost, bfs_cost, boman_coloring_cost, boruvka_cost,
-    pagerank_cost, sssp_delta_cost, triangle_count_cost,
-)
+from repro.pram import costs
+from repro.pram.costs import AlgorithmCost
 from repro.pram.models import PRAM
 
 
@@ -66,25 +65,14 @@ def predicted_cost(algorithm: str, direction: str, *, n: int, m: int,
     (the run's own superstep count); ``inner_iterations`` is Δ-
     Stepping's total inner-loop count, ``sources`` BC's source count.
     """
+    bounded = [s for s in select(algorithm, runtime="sm") if s.cost]
+    if not bounded:
+        raise ValueError(
+            f"no PRAM bound registered for algorithm {algorithm!r}")
+    name, rounds = bounded[0].cost
     it = max(1, iterations)
-    if algorithm == "PR":
-        return pagerank_cost(direction, model, n, m, d_hat, P, L=it)
-    if algorithm == "TC":
-        return triangle_count_cost(direction, model, n, m, d_hat, P)
-    if algorithm == "BFS":
-        return bfs_cost(direction, model, n, m, d_hat, P, D=it)
-    if algorithm == "SSSP-Δ":
-        l_delta = max(1.0, inner_iterations / it)
-        return sssp_delta_cost(direction, model, n, m, d_hat, P,
-                               L_over_delta=it, l_delta=l_delta)
-    if algorithm == "BC":
-        return bc_cost(direction, model, n, m, d_hat, P, D=it,
-                       sources=sources)
-    if algorithm == "BGC":
-        return boman_coloring_cost(direction, model, n, m, d_hat, P, L=it)
-    if algorithm == "MST":
-        return boruvka_cost(direction, model, n, m, d_hat, P)
-    raise ValueError(f"no PRAM bound registered for algorithm {algorithm!r}")
+    return getattr(costs, name)(direction, model, n, m, d_hat, P,
+                                **rounds(it, inner_iterations, sources))
 
 
 def crosscheck(algorithm: str, direction: str, report: RaceReport, *,

@@ -17,25 +17,22 @@ from typing import Callable
 
 import numpy as np
 
-from repro.algorithms.dm_bfs import dm_bfs
-from repro.algorithms.dm_pagerank import dm_pagerank
-from repro.algorithms.dm_sssp import dm_sssp_delta
-from repro.algorithms.dm_triangle import dm_triangle_count
 from repro.analysis.crosscheck import DMCommCheckResult, dm_crosscheck
 from repro.analysis.dm_race import attach_dm_race_detector
 from repro.analysis.race import RaceReport
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition1D
+from repro.kernels import find, select, unique
 from repro.machine.cost_model import XC40, MachineSpec
 from repro.runtime.dm import DMRuntime
 
 #: (algorithm, tuple of backend variants) in Section 6.3 order
-DM_MATRIX = (
-    ("PR", ("mp", "rma-push", "rma-pull")),
-    ("TC", ("rma-pull", "rma-push", "mp")),
-    ("BFS", ("push", "pull", "switching")),
-    ("SSSP-Δ", ("push", "pull")),
-)
+DM_MATRIX = tuple(
+    (label, tuple(s.variant for s in select(label, runtime="dm")))
+    for label in unique(s.label for s in select(runtime="dm")))
+
+#: round budget of every DM cell (PageRank's iteration count)
+_BUDGET = 3
 
 
 def cross_edges(g: CSRGraph, part: Partition1D) -> int:
@@ -73,46 +70,20 @@ class DMAnalysisRun:
                 f"bound={'ok' if self.check.ok else 'FAIL'}{extra}")
 
 
-def _dispatch(algorithm: str, g: CSRGraph, rt: DMRuntime, variant: str):
-    if algorithm == "PR":
-        return dm_pagerank(g, rt, variant=variant, iterations=3)
-    if algorithm == "TC":
-        return dm_triangle_count(g, rt, variant=variant)
-    if algorithm == "BFS":
-        return dm_bfs(g, rt, root=0, variant=variant)
-    if algorithm == "SSSP-Δ":
-        return dm_sssp_delta(g, rt, source=0, variant=variant)
-    raise ValueError(f"unknown DM algorithm {algorithm!r}")
-
-
-def _rounds(algorithm: str, result, d_hat: int) -> int:
-    """How often a cut edge may legitimately be re-examined."""
-    if algorithm == "PR":
-        return max(1, int(result.iterations))
-    if algorithm == "TC":
-        # one get per witness pair: a cut edge carries up to d_hat
-        # neighbor fetches plus one accumulate each
-        return 1 + int(d_hat)
-    if algorithm == "BFS":
-        return max(1, int(result.levels))
-    if algorithm == "SSSP-Δ":
-        return max(1, int(result.inner_iterations))
-    return 1
-
-
 def run_one_dm(algorithm: str, g: CSRGraph, variant: str, P: int = 4,
                machine: MachineSpec = XC40, slack: float = 4.0,
                raise_on_race: bool = False) -> DMAnalysisRun:
     """Run one (algorithm, variant) under a fresh epoch checker."""
     rt = DMRuntime(g.n, P, machine=machine.scaled(64))
     detector = attach_dm_race_detector(rt, raise_on_race=raise_on_race)
-    result = _dispatch(algorithm, g, rt, variant)
+    spec = find(algorithm, runtime="dm", variant=variant)
+    result = spec.run(g, rt, budget=_BUDGET)
     report = detector.report()
     check = dm_crosscheck(
         algorithm, variant, result.counters,
         m_cross=cross_edges(g, rt.part), P=P,
         supersteps=max(1, report.epochs),
-        rounds=_rounds(algorithm, result, g.max_degree), slack=slack)
+        rounds=spec.rounds(result, g.max_degree), slack=slack)
     return DMAnalysisRun(
         algorithm=algorithm, variant=variant, report=report, check=check,
         pending_unflushed=detector.pending_unflushed,
@@ -137,7 +108,7 @@ def analyze_dm(n: int = 96, P: int = 4, seed: int = 7, d_bar: float = 4.0,
     weighted = instance_graph(dataset, n, d_bar, seed, weighted=True)
     runs: list[DMAnalysisRun] = []
     for algorithm, variants in DM_MATRIX:
-        g = weighted if algorithm == "SSSP-Δ" else plain
+        g = weighted if find(algorithm, runtime="dm").weighted else plain
         for variant in variants:
             run = run_one_dm(algorithm, g, variant, P=P, slack=slack)
             runs.append(run)

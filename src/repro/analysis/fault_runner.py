@@ -32,24 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-import numpy as np
-
-from repro.algorithms.dm_bfs import dm_bfs
-from repro.algorithms.dm_pagerank import dm_pagerank
-from repro.algorithms.dm_sssp import dm_sssp_delta
-from repro.algorithms.dm_triangle import dm_triangle_count
-from repro.algorithms.reference import (
-    bfs_reference, pagerank_reference, sssp_reference,
-    triangle_per_vertex_reference,
-)
-from repro.algorithms.bfs import bfs
-from repro.algorithms.pagerank import pagerank
-from repro.algorithms.sssp_delta import sssp_delta
-from repro.algorithms.triangle import triangle_count
 from repro.analysis.dm_race import attach_dm_race_detector
 from repro.analysis.dm_runner import DM_MATRIX
 from repro.analysis.race import attach_race_detector
 from repro.analysis.runner import instance_graph
+from repro.kernels import KernelSpec, find
 from repro.machine.cost_model import XC30, XC40, MachineSpec
 from repro.machine.memory import CountingMemory
 from repro.observability import attach_tracer
@@ -60,22 +47,13 @@ from repro.runtime.faults import (
 from repro.runtime.sm import SMRuntime
 from repro.runtime.sm_faults import SMFaultPlan, attach_sm_fault_injector
 
-#: the SM chaos cells: the four reference-checked kernels x direction
-#: (the BC/BGC/MST cells have no sequential reference wired here; the
-#: race matrix of ``analyze`` already covers them fault-free)
-SM_MATRIX = (
-    ("PR", ("push", "pull")),
-    ("TC", ("push", "pull")),
-    ("BFS", ("push", "pull")),
-    ("SSSP-Δ", ("push", "pull")),
-)
+#: the SM chaos cells: the SM twins of the DM matrix's kernels x
+#: direction, so both runtimes face faults on the same algorithms (the
+#: race matrix of ``analyze`` covers the others fault-free)
+SM_MATRIX = tuple((label, ("push", "pull")) for label, _ in DM_MATRIX)
 
 #: PageRank iterations for every chaos run (small: the suite is a grid)
 _PR_ITERS = 3
-
-#: float tolerance against the references: recovery replays reorder
-#: float accumulate application, which legally reassociates the sums
-_FLOAT_ATOL = 1e-9
 
 
 def default_fault_plans(seed: int) -> list[tuple[str, FaultPlan]]:
@@ -161,19 +139,7 @@ class FaultRun:
                 f"fired={self.fired:4d} overhead={pct:7.1f}%{detail}")
 
 
-def _reference(algorithm: str, g) -> np.ndarray:
-    if algorithm == "PR":
-        return pagerank_reference(g, iterations=_PR_ITERS)
-    if algorithm == "TC":
-        return triangle_per_vertex_reference(g)
-    if algorithm == "BFS":
-        return bfs_reference(g, 0)
-    if algorithm == "SSSP-Δ":
-        return sssp_reference(g, 0)
-    raise ValueError(f"unknown DM algorithm {algorithm!r}")
-
-
-def _run(algorithm: str, g, variant: str, P: int, machine: MachineSpec,
+def _run(spec: KernelSpec, g, P: int, machine: MachineSpec,
          plan: FaultPlan | None,
          recovery: RecoveryConfig | None) -> tuple:
     """One kernel execution; returns (result, rt, detector, injector)."""
@@ -182,25 +148,7 @@ def _run(algorithm: str, g, variant: str, P: int, machine: MachineSpec,
     injector: FaultInjector | None = None
     if plan is not None:
         injector = attach_fault_injector(rt, plan, recovery=recovery)
-    if algorithm == "PR":
-        result = dm_pagerank(g, rt, variant=variant, iterations=_PR_ITERS)
-    elif algorithm == "TC":
-        result = dm_triangle_count(g, rt, variant=variant)
-    elif algorithm == "BFS":
-        result = dm_bfs(g, rt, root=0, variant=variant)
-    else:
-        result = dm_sssp_delta(g, rt, source=0, variant=variant)
-    return result, rt, detector, injector
-
-
-def _converged(algorithm: str, result, ref: np.ndarray) -> bool:
-    if algorithm == "PR":
-        return bool(np.allclose(result.ranks, ref, atol=_FLOAT_ATOL))
-    if algorithm == "TC":
-        return bool(np.array_equal(result.per_vertex, ref))
-    if algorithm == "BFS":
-        return bool(np.array_equal(result.level, ref))
-    return bool(np.allclose(result.dist, ref))
+    return spec.run(g, rt, budget=_PR_ITERS), rt, detector, injector
 
 
 def analyze_faults(n: int = 64, P: int = 4, seed: int = 7,
@@ -226,12 +174,14 @@ def analyze_faults(n: int = 64, P: int = 4, seed: int = 7,
     weighted = instance_graph(dataset, n, d_bar, seed, weighted=True)
     runs: list[FaultRun] = []
     for algorithm, variants in DM_MATRIX:
-        g = weighted if algorithm == "SSSP-Δ" else plain
-        ref = _reference(algorithm, g)
-        for variant in variants:
+        specs = [find(algorithm, runtime="dm", variant=v) for v in variants]
+        g = weighted if specs[0].weighted else plain
+        ref = specs[0].reference(g, budget=_PR_ITERS)
+        for spec in specs:
+            variant = spec.variant
             base_result, base_rt, base_det, _ = _run(
-                algorithm, g, variant, P, machine, None, None)
-            if not (_converged(algorithm, base_result, ref)
+                spec, g, P, machine, None, None)
+            if not (spec.agrees(base_result, ref)
                     and base_det.report().clean):
                 raise AssertionError(
                     f"fault-free baseline broken: {algorithm}/{variant}")
@@ -241,12 +191,12 @@ def analyze_faults(n: int = 64, P: int = 4, seed: int = 7,
                     plan = (proto if proto.seed == fseed
                             else replace(proto, seed=fseed))
                     result, rt, det, inj = _run(
-                        algorithm, g, variant, P, machine, plan, recovery)
+                        spec, g, P, machine, plan, recovery)
                     report = det.report()
                     run = FaultRun(
                         algorithm=algorithm, variant=variant,
                         plan_name=plan_name, seed=fseed,
-                        converged=_converged(algorithm, result, ref),
+                        converged=spec.agrees(result, ref),
                         clean=report.clean,
                         pending_unflushed=det.pending_unflushed,
                         fired=inj.stats.fired(), costly=inj.stats.costly(),
@@ -258,7 +208,7 @@ def analyze_faults(n: int = 64, P: int = 4, seed: int = 7,
     return runs
 
 
-def _sm_run(algorithm: str, g, direction: str, P: int, machine: MachineSpec,
+def _sm_run(spec: KernelSpec, g, P: int, machine: MachineSpec,
             plan: SMFaultPlan | None,
             recovery: RecoveryConfig | None) -> tuple:
     """One SM kernel execution; returns (result, rt, detector, injector,
@@ -272,14 +222,7 @@ def _sm_run(algorithm: str, g, direction: str, P: int, machine: MachineSpec,
         # injector after the detector: the perturbing proxy wraps the
         # detecting one, so re-issued recovery ops are race-checked too
         injector = attach_sm_fault_injector(rt, plan, recovery=recovery)
-    if algorithm == "PR":
-        result = pagerank(g, rt, direction=direction, iterations=_PR_ITERS)
-    elif algorithm == "TC":
-        result = triangle_count(g, rt, direction=direction)
-    elif algorithm == "BFS":
-        result = bfs(g, rt, root=0, direction=direction)
-    else:
-        result = sssp_delta(g, rt, source=0, direction=direction)
+    result = spec.run(g, rt, budget=_PR_ITERS)
     return result, rt, detector, injector, tracer
 
 
@@ -309,12 +252,14 @@ def analyze_sm_faults(n: int = 64, P: int = 4, seed: int = 7,
     weighted = instance_graph(dataset, n, d_bar, seed, weighted=True)
     runs: list[FaultRun] = []
     for algorithm, directions in SM_MATRIX:
-        g = weighted if algorithm == "SSSP-Δ" else plain
-        ref = _reference(algorithm, g)
-        for direction in directions:
+        specs = [find(algorithm, variant=d) for d in directions]
+        g = weighted if specs[0].weighted else plain
+        ref = specs[0].reference(g, budget=_PR_ITERS)
+        for spec in specs:
+            direction = spec.variant
             base_result, base_rt, base_det, _, base_tr = _sm_run(
-                algorithm, g, direction, P, machine, None, None)
-            if not (_converged(algorithm, base_result, ref)
+                spec, g, P, machine, None, None)
+            if not (spec.agrees(base_result, ref)
                     and base_det.report().clean and _reconciled(base_tr)):
                 raise AssertionError(
                     f"fault-free baseline broken: sm {algorithm}/{direction}")
@@ -324,12 +269,12 @@ def analyze_sm_faults(n: int = 64, P: int = 4, seed: int = 7,
                     plan = (proto if proto.seed == fseed
                             else replace(proto, seed=fseed))
                     result, rt, det, inj, tr = _sm_run(
-                        algorithm, g, direction, P, machine, plan, recovery)
+                        spec, g, P, machine, plan, recovery)
                     report = det.report()
                     run = FaultRun(
                         algorithm=algorithm, variant=direction,
                         plan_name=plan_name, seed=fseed,
-                        converged=_converged(algorithm, result, ref),
+                        converged=spec.agrees(result, ref),
                         clean=report.clean,
                         pending_unflushed=0,
                         fired=inj.stats.fired(), costly=inj.stats.costly(),

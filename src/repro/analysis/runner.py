@@ -14,26 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.algorithms.bc import betweenness_centrality
-from repro.algorithms.bfs import bfs
-from repro.algorithms.coloring import boman_coloring
-from repro.algorithms.mst_boruvka import boruvka_mst
-from repro.algorithms.pagerank import pagerank
-from repro.algorithms.sssp_delta import sssp_delta
-from repro.algorithms.triangle import triangle_count
 from repro.analysis.crosscheck import CrossCheckResult, crosscheck
 from repro.analysis.race import RaceReport, attach_race_detector
 from repro.generators import community_graph, erdos_renyi, rmat, road_network
 from repro.graph.csr import CSRGraph
+from repro.kernels import find, select, unique
 from repro.machine.cost_model import XC30, MachineSpec
 from repro.machine.memory import CountingMemory
 from repro.runtime.sm import SMRuntime
 
+#: the SM kernels with a Section-4 PRAM bound to cross-check against --
 #: the seven instrumented algorithms of the paper, in Section-4 order
-ALGORITHMS = ("PR", "TC", "BFS", "SSSP-Δ", "BC", "BGC", "MST")
-
-#: algorithms that need edge weights on their input graph
-WEIGHTED = frozenset({"SSSP-Δ", "MST"})
+ALGORITHMS = unique(
+    s.label for s in select(runtime="sm", engine="interpreted") if s.cost)
 
 
 @dataclass(frozen=True)
@@ -60,26 +53,6 @@ class AnalysisRun:
                 f"bound={'ok' if self.check.ok else 'FAIL'}")
 
 
-def _dispatch(algorithm: str, g: CSRGraph, rt: SMRuntime, direction: str):
-    """Run one algorithm; returns its AlgoResult."""
-    if algorithm == "PR":
-        return pagerank(g, rt, direction=direction, iterations=5)
-    if algorithm == "TC":
-        return triangle_count(g, rt, direction=direction)
-    if algorithm == "BFS":
-        return bfs(g, rt, root=0, direction=direction)
-    if algorithm == "SSSP-Δ":
-        return sssp_delta(g, rt, source=0, direction=direction)
-    if algorithm == "BC":
-        return betweenness_centrality(g, rt, direction=direction,
-                                      sources=4, seed=0)
-    if algorithm == "BGC":
-        return boman_coloring(g, rt, direction=direction)
-    if algorithm == "MST":
-        return boruvka_mst(g, rt, direction=direction)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def run_one(algorithm: str, g: CSRGraph, direction: str, P: int = 4,
             machine: MachineSpec = XC30,
             track_read_conflicts: bool = True):
@@ -91,20 +64,18 @@ def run_one(algorithm: str, g: CSRGraph, direction: str, P: int = 4,
     rt = SMRuntime(g, P=P, machine=m, memory=CountingMemory(m.hierarchy))
     detector = attach_race_detector(
         rt, track_read_conflicts=track_read_conflicts)
-    result = _dispatch(algorithm, g, rt, direction)
+    result = find(algorithm, variant=direction).run(g, rt)
     return detector.report(), result
 
 
-def _crosscheck_params(algorithm: str, result) -> dict:
+def _bound_params(result) -> dict:
+    """The instance parameters the Section-4 bounds take, read off a run:
+    rounds (Δ-Stepping's epochs), inner iterations, BC's source count."""
     it = max(1, int(getattr(result, "iterations", 1) or 1))
-    params = {"iterations": it}
-    if algorithm == "SSSP-Δ":
-        params["iterations"] = max(1, int(getattr(result, "epochs", it)))
-        params["inner_iterations"] = max(
-            1, int(getattr(result, "inner_iterations", it)))
-    if algorithm == "BC":
-        params["sources"] = max(1, int(getattr(result, "n_sources", it)))
-    return params
+    return {"iterations": max(1, int(getattr(result, "epochs", it))),
+            "inner_iterations": max(
+                1, int(getattr(result, "inner_iterations", it))),
+            "sources": max(1, int(getattr(result, "n_sources", it)))}
 
 
 def instance_graph(dataset: str, n: int, d_bar: float, seed: int,
@@ -163,14 +134,14 @@ def analyze_algorithms(n: int = 120, P: int = 4, seed: int = 7,
 
     runs: list[AnalysisRun] = []
     for algorithm in algos:
-        g = weighted if algorithm in WEIGHTED else plain
+        g = weighted if find(algorithm).weighted else plain
         for direction in directions:
             report, result = run_one(algorithm, g, direction, P=P,
                                      machine=machine)
             check = crosscheck(
                 algorithm, direction, report,
                 n=g.n, m=g.m, d_hat=g.max_degree, P=P, slack=slack,
-                **_crosscheck_params(algorithm, result))
+                **_bound_params(result))
             run = AnalysisRun(
                 algorithm=algorithm, direction=direction, report=report,
                 check=check,

@@ -46,11 +46,14 @@ from __future__ import annotations
 import json
 import os
 
+from repro.kernels import TRACE_ALGORITHMS, select
+
 #: versioned schema tag of the baseline files
 BENCH_SCHEMA = "repro-bench/3"
 
 #: the baseline-family grid: (algorithm, variant) x (sm, dm)
-BENCH_ALGORITHMS = ("pagerank", "bfs", "sssp")
+BENCH_ALGORITHMS = tuple(a for a in TRACE_ALGORITHMS
+                         if select(a, runtime="dm"))
 BENCH_VARIANTS = ("push", "pull")
 
 #: one deterministic instance for every baseline cell
@@ -58,7 +61,7 @@ BENCH_CONFIG = {"dataset": "er", "n": 96, "P": 4, "seed": 7,
                 "iterations": 5, "cache_scale": 64}
 
 #: the large-family grid (SM only; always the batched engine)
-LARGE_ALGORITHMS = ("pagerank", "bfs", "sssp", "cc")
+LARGE_ALGORITHMS = TRACE_ALGORITHMS
 
 #: 100x the baseline vertex count; analytic miss model (cache_scale=0)
 LARGE_CONFIG = {"dataset": "er", "n": 9600, "P": 4, "seed": 7,

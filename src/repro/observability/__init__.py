@@ -49,8 +49,7 @@ runtimes the same attribution surface:
   entry point: run one kernel under a tracer and write all exports.
 
 The package is import-light by design: nothing here imports the
-harness (charts, experiments) -- the :class:`~repro.runtime.profiler.
-Profile` view renders without pulling chart code unless asked to.
+harness (charts, experiments).
 """
 
 from repro.observability.events import SCHEMA, TraceEvent

@@ -22,17 +22,13 @@ byte-identical ``events.jsonl`` / ``trace.json`` / ``metrics.json`` /
 
 from __future__ import annotations
 
+from repro.kernels import TRACE_ALGORITHMS, find
 from repro.observability.export import write_outputs
 from repro.observability.hwcounters import DEFAULT_CACHE_SCALE, equip_cache_sim
 from repro.observability.tracer import attach_tracer
 
-#: kernels the trace driver knows how to launch
-TRACE_ALGORITHMS = ("pagerank", "bfs", "sssp", "cc")
-
-#: execution engines: "interpreted" = per-element MemoryModel calls,
-#: "batched" = stream-emitting kernels (repro.streams) replaying numpy
-#: op batches -- byte-identical counters, far less Python dispatch
-TRACE_ENGINES = ("interpreted", "batched")
+__all__ = ["TRACE_ALGORITHMS", "default_fault_plan", "default_sm_fault_plan",
+           "run_traced", "trace_main"]
 
 
 def default_fault_plan(seed: int = 1):
@@ -51,67 +47,6 @@ def default_sm_fault_plan(seed: int = 1):
     return SMFaultPlan(seed=seed, straggler=0.1, lock_preempt=0.1,
                        cas_lost=0.05, cas_duplicate=0.05, store_delay=0.05,
                        crash=0.05)
-
-
-def _dispatch(algorithm: str, variant: str, g, rt, dm: bool,
-              iterations: int, engine: str = "interpreted"):
-    if engine not in TRACE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {TRACE_ENGINES}")
-    batched = engine == "batched" and not dm
-    # DM kernels already emit their communication as per-superstep verb
-    # batches (alltoallv, staged RMA), so the batched engine treats DM
-    # cells as an exact passthrough (docs/streams.md)
-    if batched and variant in ("switching", "push-pa", "mp"):
-        raise ValueError(
-            f"variant {variant!r} has no batched kernel; the batched "
-            "engine covers the plain push/pull kernels")
-    if algorithm == "pagerank":
-        if dm:
-            from repro.algorithms.dm_pagerank import dm_pagerank
-            resolved = {"push": "rma-push", "pull": "rma-pull"}.get(
-                variant, variant)
-            return resolved, dm_pagerank(g, rt, variant=resolved,
-                                         iterations=iterations)
-        if batched:
-            from repro.streams.kernels import pagerank_batched
-            return variant, pagerank_batched(g, rt, direction=variant,
-                                             iterations=iterations)
-        from repro.algorithms.pagerank import pagerank
-        return variant, pagerank(g, rt, direction=variant,
-                                 iterations=iterations)
-    if algorithm == "bfs":
-        if dm:
-            from repro.algorithms.dm_bfs import dm_bfs
-            return variant, dm_bfs(g, rt, root=0, variant=variant)
-        if variant == "switching":
-            from repro.strategies.switching import direction_optimizing_bfs
-            return variant, direction_optimizing_bfs(g, rt, root=0)
-        if batched:
-            from repro.streams.kernels import bfs_batched
-            return variant, bfs_batched(g, rt, root=0, direction=variant)
-        from repro.algorithms.bfs import bfs
-        return variant, bfs(g, rt, root=0, direction=variant)
-    if algorithm == "sssp":
-        if dm:
-            from repro.algorithms.dm_sssp import dm_sssp_delta
-            return variant, dm_sssp_delta(g, rt, source=0, variant=variant)
-        if batched:
-            from repro.streams.kernels import sssp_delta_batched
-            return variant, sssp_delta_batched(g, rt, source=0,
-                                               direction=variant)
-        from repro.algorithms.sssp_delta import sssp_delta
-        return variant, sssp_delta(g, rt, source=0, direction=variant)
-    if algorithm == "cc":
-        if dm:
-            raise ValueError("cc has no DM kernel; drop --dm")
-        if batched:
-            from repro.streams.kernels import cc_batched
-            return variant, cc_batched(g, rt, direction=variant)
-        from repro.algorithms.connected_components import connected_components
-        return variant, connected_components(g, rt, direction=variant)
-    raise ValueError(
-        f"unknown algorithm {algorithm!r}; choose from {TRACE_ALGORITHMS}")
 
 
 def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
@@ -146,8 +81,10 @@ def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
     against.
     """
     from repro.analysis.runner import instance_graph
+    spec = find(algorithm, runtime="dm" if dm else "sm", variant=variant,
+                engine=engine)
     g = instance_graph(dataset, n, d_bar=4.0, seed=seed,
-                       weighted=(algorithm == "sssp"))
+                       weighted=spec.weighted)
     if dm:
         from repro.runtime.dm import DMRuntime
         rt = DMRuntime(g.n, P)
@@ -168,9 +105,7 @@ def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
             attach_sm_fault_injector(rt, default_sm_fault_plan(fault_seed))
     if attach is not None:
         attach(rt)
-    resolved, result = _dispatch(algorithm, variant, g, rt, dm, iterations,
-                                 engine=engine)
-    return rt, tracer, resolved, result
+    return rt, tracer, spec.variant, spec.run(g, rt, budget=iterations)
 
 
 def _make_sinks(args):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.kernels import TRACE_ALGORITHMS, find, select
+
 
 def _handle_name(handle) -> str:
     return str(getattr(handle, "name", handle))
@@ -103,23 +105,21 @@ class ReconcileCell:
                 "ok": self.ok}
 
 
-#: traced cell -> effect-matrix kernel name
-_CELL_KERNELS = {
-    ("pagerank", False): "pagerank",
-    ("bfs", False): "bfs",
-    ("sssp", False): "sssp_delta",
-    ("cc", False): "connected_components",
-    ("pagerank", True): "dm_pagerank",
-    ("bfs", True): "dm_bfs",
-    ("sssp", True): "dm_sssp_delta",
-}
+def reconcile_cells() -> list[tuple[str, str, bool]]:
+    """(algorithm, variant, dm) of every reconciled cell: push and pull
+    of each trace algorithm, on each runtime that has it."""
+    return [(name, variant, dm)
+            for dm in (False, True) for name in TRACE_ALGORITHMS
+            if select(name, runtime="dm" if dm else "sm")
+            for variant in ("push", "pull")]
 
 
 def reconcile_effects(report=None, n: int = 96, P: int = 4,
                       iterations: int = 3, progress=None,
                       engine: str = "interpreted") -> list[ReconcileCell]:
-    """Run the 14-cell trace matrix with a footprint recorder and check
-    each kernel's static write set covers what was dynamically written.
+    """Run every :func:`reconcile_cells` cell with a footprint recorder
+    and check each kernel's static write set covers what was
+    dynamically written.
 
     Runs with ``cache_scale=0``: the recorder's verb wrappers are plain
     instance attributes, and flat counting memory keeps the run cheap.
@@ -136,23 +136,23 @@ def reconcile_effects(report=None, n: int = 96, P: int = 4,
     if report is None:
         report = analyze_effects()
     cells: list[ReconcileCell] = []
-    for (algorithm, dm), kernel in _CELL_KERNELS.items():
-        for variant in ("push", "pull"):
-            if progress is not None:
-                progress(algorithm, variant, dm)
-            rec = FootprintRecorder()
-            run_traced(algorithm, variant=variant, dm=dm, n=n, P=P,
-                       iterations=iterations, cache_scale=0,
-                       attach=rec.install, engine=engine)
-            keff = report.kernels[kernel]
-            claimed = set(keff.write_set) | set(keff.windows)
-            traced = rec.written | rec.windows
-            missing = sorted(
-                name for name in traced
-                if not any(fnmatch.fnmatchcase(name, pat)
-                           for pat in claimed))
-            cells.append(ReconcileCell(
-                algorithm=algorithm, variant=variant, dm=dm, kernel=kernel,
-                traced=sorted(traced), static=sorted(claimed),
-                missing=missing))
+    for algorithm, variant, dm in reconcile_cells():
+        if progress is not None:
+            progress(algorithm, variant, dm)
+        kernel = find(algorithm, runtime="dm" if dm else "sm",
+                      variant=variant, engine=engine).effect
+        rec = FootprintRecorder()
+        run_traced(algorithm, variant=variant, dm=dm, n=n, P=P,
+                   iterations=iterations, cache_scale=0,
+                   attach=rec.install, engine=engine)
+        keff = report.kernels[kernel]
+        claimed = set(keff.write_set) | set(keff.windows)
+        traced = rec.written | rec.windows
+        missing = sorted(
+            name for name in traced
+            if not any(fnmatch.fnmatchcase(name, pat) for pat in claimed))
+        cells.append(ReconcileCell(
+            algorithm=algorithm, variant=variant, dm=dm, kernel=kernel,
+            traced=sorted(traced), static=sorted(claimed),
+            missing=missing))
     return cells

@@ -61,6 +61,46 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "sort", "am"])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "bfs", "er", "--scale", "0"], "need at least two vertices"),
+        (["run", "bfs", "zz"], "unknown dataset 'zz'"),
+        (["run", "bfs", "er", "--threads", "0"], "P must be positive"),
+        (["run", "bfs", "er", "--scale", "4", "--source", "999999"],
+         "root out of range"),
+        (["run", "sssp", "er", "--scale", "4", "--direction", "push-pa"],
+         "sssp has no 'push-pa' variant"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_components_alias(self, capsys):
+        assert main(["run", "cc", "am", "--scale", "8", "--threads",
+                     "4"]) == 0
+        assert "components in" in capsys.readouterr().out
+
+
+class TestHelp:
+    def _help(self, capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_trace_faults_help_covers_sm(self, capsys):
+        text = self._help(capsys, "trace")
+        assert "(requires --dm)" not in text
+        assert "chaos fault plan of the selected runtime (SM, or DM with " \
+            "--dm)" in text
+
+    def test_reconcile_cell_count_comes_from_the_table(self, capsys):
+        from repro.observability.footprint import reconcile_cells
+        text = self._help(capsys, "analyze")
+        assert f"skip the {len(reconcile_cells())}-cell dynamic" in text
+        assert len(reconcile_cells()) == 14
+
 
 class TestExperimentsForwarding:
     def test_forwards_to_run_all(self, capsys):

@@ -515,37 +515,10 @@ class TestExporterEdgeCases:
 
 
 class TestProfileFold:
-    def test_profiled_runtime_uses_tracer(self, tiny_graph):
-        from repro.algorithms.pagerank import pagerank
-        from repro.runtime.profiler import ProfiledRuntime
-        rt = ProfiledRuntime(tiny_graph, P=4)
-        pagerank(tiny_graph, rt, direction="pull", iterations=2)
-        prof = rt.profile
-        assert prof.records and rt.tracer is not None
-        # profile totals cover region spans; barrier time is the rest
-        barriers = sum(ev.dur for ev in rt.tracer.events
-                       if ev.kind == "barrier")
-        assert abs(prof.total + barriers - rt.time) < 1e-9
-
-    def test_profile_from_trace_matches_region_events(self, tiny_graph):
-        from repro.algorithms.pagerank import pagerank
-        from repro.runtime.profiler import Profile
-        from repro.runtime.sm import SMRuntime
-        from repro.observability import attach_tracer
-        rt = SMRuntime(tiny_graph, P=4)
-        tracer = attach_tracer(rt)
-        pagerank(tiny_graph, rt, direction="push", iterations=2)
-        prof = Profile.from_trace(tracer.events)
-        regions = [ev for ev in tracer.events if ev.kind == "region"]
-        assert len(prof.records) == len(regions)
-        assert [r.span for r in prof.records] == [ev.dur for ev in regions]
-
     def test_runtime_modules_stay_import_light(self):
-        # Profile.render lazy-imports the chart helpers; importing the
-        # profiler (or the observability package) must not drag in the
-        # harness
-        code = ("import sys; import repro.runtime.profiler, "
-                "repro.observability; "
+        # importing the runtimes or the observability package must not
+        # drag in the harness chart code
+        code = ("import sys; import repro.runtime, repro.observability; "
                 "assert 'repro.harness.charts' not in sys.modules, "
                 "'chart code leaked into the runtime import graph'")
         env = dict(os.environ, PYTHONPATH=SRC)
