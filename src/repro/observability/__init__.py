@@ -31,10 +31,11 @@ runtimes the same attribution surface:
   flamegraph export (lane -> phase over simulated time; feeds
   ``flamegraph.pl`` / speedscope).
 * :mod:`repro.observability.sinks` -- pluggable event sinks: buffered
-  retention (the default), constant-memory streaming JSONL, the online
-  bounded-memory metrics rollup (proven byte-equal to the post-hoc
-  rollup on every committed bench cell), and seeded span sampling for
-  Chrome/flame export at scales where full retention is impossible.
+  retention (the default), constant-memory streaming JSONL, the
+  bounded-memory metrics rollup (the one implementation of every
+  derived view; a buffered run replays its events through it), and
+  seeded span sampling for Chrome/flame export at scales where full
+  retention is impossible.
 * :mod:`repro.observability.regress` -- semantic perf-baseline diffing
   (``repro bench diff``): metric-by-metric comparison with tolerances,
   drift attributed to cell -> phase -> counter.

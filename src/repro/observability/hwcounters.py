@@ -51,8 +51,11 @@ def equip_cache_sim(rt, cache_scale: int = DEFAULT_CACHE_SCALE
     (the paper's Xeons).  Call before running the kernel -- the new
     model starts cold and registers arrays on first use.
     """
+    if cache_scale < 0:
+        raise ValueError(f"cache scale must be >= 0 (0 disables the "
+                         f"cache simulator), got {cache_scale}")
     is_dm = hasattr(rt, "superstep")
-    if cache_scale and cache_scale > 1:
+    if cache_scale > 1:
         rt.machine = rt.machine.scaled(cache_scale)
     mem = CacheSimMemory(rt.machine.hierarchy, n_threads=rt.P,
                          shared_l3=not is_dm)

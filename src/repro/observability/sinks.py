@@ -1,29 +1,25 @@
 """Pluggable trace sinks: where the :class:`Tracer` puts its events.
 
-Before this module, the tracer buffered every :class:`TraceEvent` in an
-unbounded Python list and every exporter walked that list post-hoc --
-fine for the n=96 baseline cells, a hard memory wall for the batched
-engine's large-family runs.  A *sink* receives events **incrementally**
-as the runtimes emit them; the tracer dispatches each event to every
-attached sink, and each sink decides what to retain:
+A *sink* receives events **incrementally** as the runtimes emit them;
+the tracer dispatches each event to every attached sink, and each sink
+decides what to retain:
 
-* :class:`BufferSink` -- today's behavior, the default: retain every
-  event in order.  All post-hoc exporters keep working byte-identically
-  (``tracer.events`` is this sink's list).
+* :class:`BufferSink` -- the default: retain every event in order
+  (``tracer.events`` is this sink's list), so the span exporters
+  (JSONL, Chrome, flame) can walk the run post-hoc.
 * :class:`JsonlStreamSink` -- constant-memory archival export: the
   ``repro-trace/1`` header line at attach, one compact JSON line per
   event as it happens.  The finished file is byte-identical to the
   post-hoc :func:`repro.observability.export.to_jsonl_lines` output.
-* :class:`RollupSink` -- online, bounded-memory computation of the
-  **full** ``repro-metrics/3`` rollup: per-step/per-phase aggregates,
-  the per-rank-pair traffic matrix, the critical-path decomposition,
+* :class:`RollupSink` -- the **only** implementation of the derived
+  ``repro-metrics/3`` views: per-step/per-phase aggregates, the
+  per-rank-pair traffic matrix, the critical-path decomposition,
   reconciled run totals.  State is O(steps + phases + rank pairs), not
   O(events) -- DM communication verbs fold into the matrix and are
-  dropped.  :meth:`RollupSink.rollup` is proven equal (same serialized
-  bytes) to the post-hoc :func:`~repro.observability.export.
-  metrics_rollup` on every committed bench cell -- the bench generator
-  asserts it per cell, so the CI staleness gate re-proves it on every
-  run.
+  dropped.  Attached, it accumulates while the run happens; a buffered
+  tracer without one folds its event list through a fresh, unattached
+  ``RollupSink`` once (:meth:`Tracer._rollup`), so the post-hoc
+  metrics are a replay of the same code, not a second implementation.
 * :class:`SamplingSink` -- deterministic seeded head + reservoir
   retention of *span* events (regions, supersteps, barriers, stalls)
   for Chrome/flame export at scales where retaining everything is
@@ -45,15 +41,64 @@ produces a fresh, reconcilable trace per run through any sink.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 from repro.machine.counters import PerfCounters
 from repro.observability.events import TraceEvent, approx_value_nbytes
+from repro.observability.hwcounters import TABLE1_COLUMNS
 
 #: event kinds the sampling sink retains (the span timeline the
 #: Chrome/flame exporters render; instants fold into the rollup)
 SPAN_KINDS = frozenset({"region", "superstep", "barrier", "stall"})
+
+#: versioned schema tag for the metrics rollup
+METRICS_SCHEMA = "repro-metrics/3"
+
+#: the communication verb totals reported next to the edge cut
+COMM_COUNTERS = ("messages", "msg_bytes", "collectives", "collective_bytes",
+                 "remote_gets", "remote_puts", "remote_acc_int",
+                 "remote_acc_float", "remote_bytes", "flushes")
+
+#: per-pair fields of the traffic matrix, in row order
+TRAFFIC_FIELDS = ("messages", "msg_bytes", "gets", "puts", "acc_int",
+                  "acc_float", "rma_bytes")
+
+#: traffic-matrix field -> the PerfCounters total it must reconcile with
+_TRAFFIC_TOTALS = {"messages": "messages", "msg_bytes": "msg_bytes",
+                   "gets": "remote_gets", "puts": "remote_puts",
+                   "acc_int": "remote_acc_int",
+                   "acc_float": "remote_acc_float",
+                   "rma_bytes": "remote_bytes"}
+
+
+def _dumps(obj) -> str:
+    """Deterministic compact JSON (sorted keys) for every export."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=_jsonable)
+
+
+def _jsonable(o):
+    # numpy scalars leak into event data from kernel code; coerce them
+    # so the export never depends on numpy repr
+    if hasattr(o, "item"):
+        return o.item()
+    return str(o)
+
+
+def _cache_view(phase_rows: list[dict]) -> dict:
+    """Table-1-style cache columns per phase (always schema-complete)."""
+    rows = []
+    for phase in phase_rows:
+        c = phase["counters"]
+        row = {"label": phase["label"]}
+        for k in TABLE1_COLUMNS:
+            row[k] = int(c.get(k, 0))
+        reads = row["reads"]
+        row["l1_per_read"] = (row["l1_misses"] / reads) if reads else 0.0
+        rows.append(row)
+    return {"columns": list(TABLE1_COLUMNS) + ["l1_per_read"], "rows": rows}
 
 
 def format_bytes(n: int | float) -> str:
@@ -107,11 +152,11 @@ class TraceSink:
 
 
 class BufferSink(TraceSink):
-    """Retain every event in emission order (the pre-sink behavior).
+    """Retain every event in emission order.
 
     The default sink: ``tracer.events`` resolves to :attr:`events`, so
-    every post-hoc exporter -- Chrome, JSONL, metrics, flame -- works
-    unchanged and byte-identically.
+    the span exporters (Chrome, JSONL, flame) walk it post-hoc and the
+    derived views replay it through a :class:`RollupSink`.
     """
 
     name = "buffer"
@@ -154,13 +199,11 @@ class JsonlStreamSink(TraceSink):
         self._open()
 
     def _open(self) -> None:
-        from repro.observability.export import _dumps
         self._fh = open(self.path, "w")
         self._fh.write(_dumps(self.tracer.meta()) + "\n")
         self.lines = 1
 
     def on_event(self, ev: TraceEvent) -> None:
-        from repro.observability.export import _dumps
         if self._fh is None:  # closed early (exported); drop silently is
             # wrong -- reopen in append would desync; fail loudly instead
             raise RuntimeError(
@@ -182,17 +225,14 @@ class JsonlStreamSink(TraceSink):
 class RollupSink(TraceSink):
     """Online, bounded-memory ``repro-metrics/3`` rollup.
 
-    Maintains exactly the accumulators the post-hoc
-    :func:`~repro.observability.export.metrics_rollup` derives by
-    walking the event list -- in the same per-event order, so every
-    float lands identically and :meth:`rollup` serializes to the same
-    bytes.  Communication verbs (``send``/``rma``) fold straight into
-    the per-rank-pair matrix and are not retained; the dominant cost of
-    a large DM trace therefore never materializes.
-
-    Also backs the tracer's reconciliation surface when no buffer is
-    attached: :meth:`traced_totals`, :attr:`decomposed_mtu`, and
-    :meth:`critical` replace the post-hoc walks.
+    The one implementation of every derived view -- :meth:`rollup`,
+    :meth:`traffic`, :meth:`critical`, and the tracer's reconciliation
+    surface (:meth:`traced_totals`, :attr:`decomposed_mtu`).  Events
+    fold in emission order whether they arrive live (attached sink) or
+    as a replay of a buffer (:meth:`Tracer._rollup`), so both routes
+    serialize to the same bytes.  Communication verbs (``send``/``rma``)
+    fold straight into the per-rank-pair matrix and are not retained;
+    the dominant cost of a large DM trace therefore never materializes.
     """
 
     name = "rollup"
@@ -270,7 +310,6 @@ class RollupSink(TraceSink):
                                                   8 * int(ev.data["items"])))
 
     def _on_step(self, ev: TraceEvent) -> None:
-        from repro.observability.export import COMM_COUNTERS
         deltas = ev.data["deltas"]
         counters: dict[str, float] = {}
         for d in deltas:
@@ -323,7 +362,6 @@ class RollupSink(TraceSink):
         self._grow(interval)
 
     def _pair(self, src: int, dst: int) -> dict:
-        from repro.observability.export import TRAFFIC_FIELDS
         key = (src, dst)
         e = self._pairs.get(key)
         if e is None:
@@ -336,7 +374,7 @@ class RollupSink(TraceSink):
         self._nbytes += 64 + approx_value_nbytes(row)
         self._mark()
 
-    # -- snapshot views (each equals its post-hoc counterpart) --------------------
+    # -- snapshot views ---------------------------------------------------------------
     @property
     def decomposed_mtu(self) -> float:
         """Σ dur over region/superstep/stall/barrier events, in order --
@@ -348,8 +386,19 @@ class RollupSink(TraceSink):
         return self._totals.copy()
 
     def traffic(self) -> dict:
-        """The per-rank-pair matrix (== :func:`export.traffic_matrix`)."""
-        from repro.observability.export import _TRAFFIC_TOTALS
+        """Per-(src, dst) rank-pair traffic from the traced DM verbs.
+
+        Messages and message bytes from traced sends, and the get / put
+        / int-accumulate / float-accumulate op counts plus RMA bytes
+        from traced verbs.  Local verbs (``owner == rank``) charge plain
+        memory traffic, not network counters, and are excluded; on
+        fault-free runs the totals reconcile *exactly* with the run's
+        ``messages``/``msg_bytes``/``remote_*`` counters.  (The fault
+        layer recharges counters on retries without re-emitting trace
+        events, so under a fault plan the matrix reports first-attempt
+        traffic only.)  An SM trace yields an empty ``pairs`` list with
+        all-zero totals.
+        """
         rows = [{"src": s, "dst": d, **self._pairs[(s, d)]}
                 for s, d in sorted(self._pairs)]
         totals = {counter: sum(r[field] for r in rows)
@@ -357,7 +406,26 @@ class RollupSink(TraceSink):
         return {"ranks": self.tracer.rt.P, "pairs": rows, "totals": totals}
 
     def critical(self) -> dict:
-        """The decomposition (== :func:`export.critical_path`)."""
+        """Critical-path attribution over the barrier-delimited intervals.
+
+        Per region/superstep the *bounding lane* is the lane with the
+        largest span (first on ties); its interval time splits into
+        ``comm`` (the machine's comm-counter weights applied to that
+        lane's counter delta, clamped to the interval), ``injected``
+        (the fault layer's span stretch on that lane), and ``compute``
+        (the rest, so the three sum to the interval exactly).  Barrier
+        episodes are ``sync`` and recovery waits ``recovery_stall``.
+        Two identities hold, both to float associativity:
+
+        * run:   compute + comm + injected_stall + sync + recovery_stall
+          == ``time_mtu``;
+        * lane:  busy + idle + sync + recovery_stall == ``time_mtu`` for
+          *every* lane -- ``off_path_idle`` is Σ lane idle, the flame
+          exporter's ``[off-path]`` frames.
+
+        ``totals["reconciled"]`` reports the run identity under a tight
+        relative tolerance (:meth:`Tracer.reconcile_time`).
+        """
         decomposed = self._decomposed
         actual = self.tracer.rt.time - self.tracer.start_time
         totals = {
@@ -379,15 +447,22 @@ class RollupSink(TraceSink):
                 "intervals": list(self._intervals)}
 
     def rollup(self) -> dict:
-        """The full ``repro-metrics/3`` document, incrementally built.
+        """The full ``repro-metrics/3`` document.
 
-        Serializes to the same bytes as
-        :func:`~repro.observability.export.metrics_rollup` over a full
-        buffer of the same run (asserted per committed bench cell).
+        ``steps`` is the per-region/superstep table, ``series`` pivots
+        it into one array per counter name, ``phases`` aggregates steps
+        by their ``rt.annotate`` label (in first-occurrence order),
+        ``cache`` renders the phases as the paper's Table-1 cache
+        columns (reads / writes / L1 / L2 / L3 / TLB misses plus the
+        per-read L1 miss rate), ``cut`` is the partition edge-cut
+        summary (``null`` when the tracer was attached without a graph)
+        and ``comm`` the communication verb totals it bounds,
+        ``traffic`` the per-rank-pair matrix (:meth:`traffic`),
+        ``critical_path`` the bounding-lane time decomposition
+        (:meth:`critical`), ``frontier`` the traversal samples,
+        ``switches`` the push<->pull direction decisions with their
+        trigger operands, and ``totals`` the reconciled run totals.
         """
-        from repro.observability.export import (
-            COMM_COUNTERS, METRICS_SCHEMA, _cache_view,
-        )
         tracer = self.tracer
         names = sorted({k for s in self._steps for k in s["counters"]})
         series = {k: [s["counters"].get(k, 0) for s in self._steps]
@@ -410,6 +485,9 @@ class RollupSink(TraceSink):
             "switches": list(self._switches),
             "totals": {k: v for k, v in totals.items() if v},
         }
+        # wall-clock self-profiling block: only when explicitly enabled
+        # (repro trace --wallclock), so default rollups stay
+        # byte-identical and deterministic
         wallclock = getattr(tracer, "wallclock", None)
         if wallclock is not None:
             roll["wallclock"] = wallclock.block()
@@ -437,7 +515,10 @@ class SamplingSink(TraceSink):
     def __init__(self, max_events: int = 4096, head: int | None = None,
                  seed: int = 0) -> None:
         super().__init__()
-        self.max_events = max(2, int(max_events))
+        if max_events < 2:
+            raise ValueError(f"sample size must be >= 2 spans (a head and "
+                             f"a reservoir), got {max_events}")
+        self.max_events = int(max_events)
         self.head_target = (self.max_events // 4 if head is None
                             else max(1, min(int(head), self.max_events - 1)))
         self.seed = seed
@@ -526,5 +607,6 @@ class TraceView:
         return self._meta
 
 
-__all__ = ["SPAN_KINDS", "BufferSink", "JsonlStreamSink", "RollupSink",
+__all__ = ["COMM_COUNTERS", "METRICS_SCHEMA", "SPAN_KINDS", "TRAFFIC_FIELDS",
+           "BufferSink", "JsonlStreamSink", "RollupSink",
            "SamplingSink", "TraceSink", "TraceView", "format_bytes"]

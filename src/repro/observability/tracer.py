@@ -58,7 +58,8 @@ class Tracer:
     memory (streaming JSONL, online rollup, seeded span sampling);
     the tracer itself only keeps O(1) bookkeeping (sequence number,
     per-kind counts, the peak of the sinks' approximate retained
-    bytes in :attr:`peak_sink_bytes`).
+    bytes in :attr:`peak_sink_bytes`) plus, on a buffered tracer, the
+    cached fold the derived views read (:meth:`_rollup`).
 
     The tracer never mutates runtime state; it is re-armed by
     ``rt.reset()`` (sinks reset, counter baseline re-snapshotted) so
@@ -76,6 +77,8 @@ class Tracer:
         self.n_events = 0
         self.kind_counts: dict[str, int] = {}
         self.peak_sink_bytes = 0
+        #: buffered events folded into a RollupSink (:meth:`_rollup`)
+        self._folded: RollupSink | None = None
         #: wall-clock self-profiler (:meth:`enable_wallclock`); when set,
         #: the metrics rollup gains a ``wallclock`` block
         self.wallclock: WallclockProfiler | None = None
@@ -160,6 +163,7 @@ class Tracer:
         self.start_counters = self.rt.total_counters()
         self._ss_befores = []
         self._ss_snaps = []
+        self._folded = None
         for sink in self.sinks:
             sink.on_reset()
         if self.wallclock is not None:
@@ -173,6 +177,7 @@ class Tracer:
             lane=lane, label=label, data=data or {})
         self._seq += 1
         self.n_events += 1
+        self._folded = None
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         for sink in self.sinks:
             sink.on_event(ev)
@@ -322,31 +327,35 @@ class Tracer:
                          "detail": [_plain(d) for d in detail]})
 
     # -- reconciliation ------------------------------------------------------------------
+    def _rollup(self) -> RollupSink:
+        """The :class:`RollupSink` every derived view reads.
+
+        The attached accumulator (direct or sampler-embedded) when
+        there is one; else the buffered events folded once through a
+        fresh, unattached ``RollupSink`` -- the same code over the same
+        emission order, so the views are sink-independent.  The fold
+        is cached until the next event or reset.
+        """
+        roll = self._rollup_sink()
+        if roll is not None:
+            return roll
+        if self._folded is None:
+            buf = self.find_sink(BufferSink)
+            if buf is None:
+                raise AttributeError(
+                    "derived views need a BufferSink or RollupSink; "
+                    "sinks: " + ", ".join(s.name for s in self.sinks))
+            roll = RollupSink()
+            roll.bind(self)
+            for ev in buf.events:
+                roll.on_event(ev)
+            self._folded = roll
+        return self._folded
+
     def traced_totals(self) -> PerfCounters:
         """Sum of every recorded counter delta (regions/supersteps +
-        barrier episodes) -- must equal the run-level totals.
-
-        Answered from the buffered events when a :class:`BufferSink` is
-        attached, else from the online rollup accumulator -- both sum
-        the same integer deltas in emission order, so the reconciliation
-        surface is sink-independent.
-        """
-        if self.find_sink(BufferSink) is None:
-            roll = self._rollup_sink()
-            if roll is None:
-                raise AttributeError(
-                    "traced_totals() needs a BufferSink or RollupSink; "
-                    "sinks: " + ", ".join(s.name for s in self.sinks))
-            return roll.traced_totals()
-        acc = PerfCounters()
-        for ev in self.events:
-            if ev.kind in ("region", "superstep"):
-                for d in ev.data["deltas"]:
-                    for k, v in d.items():
-                        setattr(acc, k, getattr(acc, k) + v)
-            elif ev.kind == "barrier":
-                acc.barriers += ev.data["barriers"]
-        return acc
+        barrier episodes) -- must equal the run-level totals."""
+        return self._rollup().traced_totals()
 
     def reconcile(self) -> tuple[PerfCounters, PerfCounters]:
         """(traced, actual) counter totals since attach/reset.
@@ -363,47 +372,17 @@ class Tracer:
         The decomposed total sums every timed event in emission order --
         region/superstep spans, recovery stalls, barrier episodes --
         which is exactly the partition the critical-path attribution
-        (:func:`repro.observability.export.critical_path`) refines into
-        critical-compute / critical-comm / sync components.  The two
-        totals agree to float associativity (the DM runtime adds
-        ``span + stall + barrier`` in one expression), so callers
-        compare with a tight relative tolerance rather than ``==``.
-
-        Like :meth:`traced_totals`, answered from the buffer when one
-        is attached, else from the rollup accumulator (which added the
-        same durations in the same emission order, so the float is
-        bit-identical).
+        (:meth:`RollupSink.critical`) refines into critical-compute /
+        critical-comm / sync components.  The two totals agree to float
+        associativity (the DM runtime adds ``span + stall + barrier`` in
+        one expression), so callers compare with a tight relative
+        tolerance rather than ``==``.
         """
-        actual = self.rt.time - self.start_time
-        if self.find_sink(BufferSink) is None:
-            roll = self._rollup_sink()
-            if roll is None:
-                raise AttributeError(
-                    "reconcile_time() needs a BufferSink or RollupSink; "
-                    "sinks: " + ", ".join(s.name for s in self.sinks))
-            return roll.decomposed_mtu, actual
-        decomposed = 0.0
-        for ev in self.events:
-            if ev.kind in ("region", "superstep", "stall", "barrier"):
-                decomposed += ev.dur
-        return decomposed, actual
+        return self._rollup().decomposed_mtu, self.rt.time - self.start_time
 
     def critical_totals(self) -> dict:
-        """The critical-path ``totals`` block, whichever sink can answer.
-
-        Buffered tracers compute it post-hoc
-        (:func:`repro.observability.export.critical_path`); rollup /
-        sampling tracers read the online accumulator.
-        """
-        if self.find_sink(BufferSink) is not None:
-            from repro.observability.export import critical_path
-            return critical_path(self)["totals"]
-        roll = self._rollup_sink()
-        if roll is None:
-            raise AttributeError(
-                "critical_totals() needs a BufferSink or RollupSink; "
-                "sinks: " + ", ".join(s.name for s in self.sinks))
-        return roll.critical()["totals"]
+        """The critical-path ``totals`` block."""
+        return self._rollup().critical()["totals"]
 
 
 class WallclockProfiler:

@@ -69,6 +69,12 @@ class TestRun:
          "root out of range"),
         (["run", "sssp", "er", "--scale", "4", "--direction", "push-pa"],
          "sssp has no 'push-pa' variant"),
+        (["trace", "bfs", "--cache-scale", "-1", "--out", "unused"],
+         "cache scale must be >= 0"),
+        (["trace", "bfs", "--sink", "sampling", "--sample-events", "0",
+          "--out", "unused"], "sample size must be >= 2 spans"),
+        (["trace", "bfs", "--sink", "sampling", "--sample-events", "1",
+          "--out", "unused"], "sample size must be >= 2 spans"),
     ])
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
         assert main(argv) == 2

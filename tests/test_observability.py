@@ -362,7 +362,7 @@ class TestTrafficMatrix:
 
     def test_totals_reconcile_exactly(self):
         from repro.observability import traffic_matrix
-        from repro.observability.export import _TRAFFIC_TOTALS
+        from repro.observability.sinks import _TRAFFIC_TOTALS
         for variant in ("push", "pull"):
             tracer = _trace("pagerank", variant=variant, dm=True)
             tm = traffic_matrix(tracer)
@@ -508,7 +508,7 @@ class TestExporterEdgeCases:
                                        "payload exported")
 
     def test_zero_read_phase_has_zero_rate(self):
-        from repro.observability.export import _cache_view
+        from repro.observability.sinks import _cache_view
         rows = _cache_view([{"label": "idle", "events": 1, "time": 0.0,
                              "counters": {}}])["rows"]
         assert rows[0]["l1_per_read"] == 0.0

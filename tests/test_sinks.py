@@ -1,15 +1,14 @@
 """Differential suite for the pluggable trace sinks.
 
-The contract under test: every bounded-memory sink must be *provably*
-equivalent to the buffered post-hoc path on the surface it claims --
-the RollupSink's incremental ``repro-metrics/3`` document serializes
-to the same bytes as :func:`metrics_rollup` over a full buffer
-(including the traffic matrix and the critical path summing to run
-time), the streaming JSONL file equals the post-hoc export, and the
-sampling sink is deterministic under a fixed seed.  The same per-cell
-rollup assertion also runs inside the bench harness, so the committed
-baselines re-certify it in CI (tests/test_trace_cli.py regenerates the
-full sweep).
+The contract under test: the derived views (``repro-metrics/3``, the
+traffic matrix, the critical path) have one implementation,
+:class:`RollupSink`, reached two ways -- live dispatch to an attached
+sink, or a replay of a buffered run folded once through a fresh one.
+The two routes must serialize to the same bytes (including the
+traffic matrix and the critical path summing to run time), the fold
+must happen once per query burst and again after new events or a
+reset, the streaming JSONL file equals the post-hoc export, and the
+sampling sink is deterministic under a fixed seed.
 """
 
 import json
@@ -52,8 +51,9 @@ class TestRollupSinkDifferential:
     @pytest.mark.parametrize("cell", CELLS, ids=_ids)
     def test_incremental_rollup_serializes_identically(self, cell):
         roll = RollupSink()
-        _rt, tracer, _res, _ = run_traced(sinks=[BufferSink(), roll], **cell)
-        assert _dumps(roll.rollup()) == _dumps(metrics_rollup(tracer))
+        run_traced(sinks=[roll], **cell)
+        _rt, buffered, _res, _ = run_traced(sinks=[BufferSink()], **cell)
+        assert _dumps(roll.rollup()) == _dumps(metrics_rollup(buffered))
 
     @pytest.mark.parametrize("cell", CELLS, ids=_ids)
     def test_rollup_only_reconciles_without_events(self, cell):
@@ -103,6 +103,52 @@ class TestRollupSinkDifferential:
         _rt, t_roll, _res, _ = run_traced(sinks=[RollupSink()], **config)
         _rt, t_buf, _res, _ = run_traced(sinks=[BufferSink()], **config)
         assert t_roll.peak_sink_bytes < t_buf.peak_sink_bytes / 3
+
+
+class TestBufferedFold:
+    def test_views_fold_once_until_next_event_or_reset(self, tmp_path,
+                                                        monkeypatch):
+        """A buffered tracer answers reconcile / critical_totals /
+        write_outputs from one cached fold of its events; a new event
+        or rt.reset() drops the cache and the next query re-folds."""
+        from repro.algorithms.pagerank import pagerank
+        from repro.analysis.runner import instance_graph
+        from repro.observability.tracer import attach_tracer
+        from repro.runtime.sm import SMRuntime
+
+        folded = []
+        on_event = RollupSink.on_event
+
+        def spy(self, ev):
+            folded.append(ev.seq)
+            on_event(self, ev)
+
+        monkeypatch.setattr(RollupSink, "on_event", spy)
+        g = instance_graph("er", 96, d_bar=4.0, seed=7, weighted=False)
+        rt = SMRuntime(g, 4)
+        tracer = attach_tracer(rt, graph=g)
+        pagerank(g, rt, direction="push", iterations=2)
+        assert folded == []  # nothing is folded while the run happens
+
+        traced, actual = tracer.reconcile()
+        assert traced.to_dict() == actual.to_dict()
+        assert tracer.critical_totals()["reconciled"]
+        write_outputs(tracer, str(tmp_path))
+        n = tracer.n_events
+        assert folded == list(range(n))  # exactly one fold
+
+        tracer._emit("barrier", ts=rt.time, data={"barriers": rt.P})
+        tracer.reconcile_time()
+        assert len(folded) == n + (n + 1)  # re-folded with the new event
+
+        rt.reset()
+        traced, _actual = tracer.reconcile()
+        assert sum(traced.to_dict().values()) == 0  # no stale fold
+        pagerank(g, rt, direction="push", iterations=2)
+        before = len(folded)
+        tracer.reconcile()
+        tracer.critical_totals()
+        assert len(folded) == before + tracer.n_events
 
 
 class TestJsonlStreamSink:
