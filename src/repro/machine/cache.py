@@ -8,11 +8,13 @@ data.  To reproduce Table 1 we simulate an inclusive three-level
 set-associative data-cache hierarchy plus a data TLB, fed with the
 actual addresses that the instrumented algorithms touch.
 
-The simulator is deliberately simple (LRU, inclusive, write-allocate,
-one array of tags per level) but exact with respect to the configured
-geometry.  It accepts *batches* of addresses as NumPy arrays so the
-instrumentation layer can report one vectorized access per adjacency
-list instead of one Python call per element.
+The simulator is deliberately simple (LRU, inclusive, write-allocate)
+but exact with respect to the configured geometry.  Every level keeps
+one dict per set whose keys are the resident lines in LRU order; the
+TLB is the same structure with a single set.  It accepts *batches* of
+addresses as NumPy arrays so the instrumentation layer can report one
+vectorized access per adjacency list instead of one Python call per
+element.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _require_positive(spec, *fields: str) -> None:
+    for name in fields:
+        value = getattr(spec, name)
+        if value < 1:
+            raise ValueError(f"{type(spec).__name__}.{name} must be >= 1, "
+                             f"got {value}")
+
+
 @dataclass(frozen=True)
 class CacheLevelSpec:
     """Geometry of one cache level."""
@@ -29,6 +39,9 @@ class CacheLevelSpec:
     size_bytes: int
     ways: int
     line_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "ways", "line_bytes")
 
     @property
     def n_sets(self) -> int:
@@ -40,10 +53,13 @@ class CacheLevelSpec:
 
 @dataclass(frozen=True)
 class TLBSpec:
-    """Geometry of a (fully-associative, LRU-approximated) TLB."""
+    """Geometry of a fully-associative LRU TLB."""
 
     entries: int = 64
     page_bytes: int = 4096
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "entries", "page_bytes")
 
 
 @dataclass(frozen=True)
@@ -62,59 +78,46 @@ class CacheHierarchySpec:
 
 
 class _SetAssocLevel:
-    """One set-associative LRU cache level over line addresses."""
+    """One set-associative LRU cache level over line addresses.
 
-    __slots__ = ("n_sets", "ways", "tags", "stamp", "clock", "misses")
+    Each set is a dict whose keys are the resident lines in LRU order:
+    the first key is the least recently used, the last the most
+    recently used (dicts keep insertion order).
+    """
+
+    __slots__ = ("n_sets", "ways", "sets", "misses")
 
     def __init__(self, spec: CacheLevelSpec) -> None:
         self.n_sets = spec.n_sets
         self.ways = spec.ways
-        # tags[set][way]; -1 means empty.  stamp holds the LRU clock.
-        self.tags = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
-        self.stamp = np.zeros((self.n_sets, self.ways), dtype=np.int64)
-        self.clock = 0
+        self.sets: list[dict[int, None]] = [{} for _ in range(self.n_sets)]
         self.misses = 0
 
     def access(self, line: int) -> bool:
         """Access one line address; return True on hit."""
-        s = line % self.n_sets
-        tags = self.tags[s]
-        self.clock += 1
-        for w in range(self.ways):
-            if tags[w] == line:
-                self.stamp[s, w] = self.clock
-                return True
-        # miss: evict LRU way
-        self.misses += 1
-        w = int(np.argmin(self.stamp[s]))
-        tags[w] = line
-        self.stamp[s, w] = self.clock
-        return False
-
-
-class _TLB:
-    """Fully-associative LRU TLB over page numbers, dict-based."""
-
-    __slots__ = ("entries", "_order", "misses")
-
-    def __init__(self, spec: TLBSpec) -> None:
-        self.entries = spec.entries
-        self._order: dict[int, None] = {}
-        self.misses = 0
-
-    def access(self, page: int) -> bool:
-        order = self._order
-        if page in order:
-            # move to MRU position
-            del order[page]
-            order[page] = None
+        s = self.sets[line % self.n_sets]
+        if line in s:
+            # move to the MRU end
+            del s[line]
+            s[line] = None
             return True
         self.misses += 1
-        if len(order) >= self.entries:
-            # evict LRU (first inserted)
-            order.pop(next(iter(order)))
-        order[page] = None
+        if len(s) >= self.ways:
+            # evict the LRU line (first key)
+            del s[next(iter(s))]
+        s[line] = None
         return False
+
+
+class _TLB(_SetAssocLevel):
+    """Fully-associative LRU TLB over page numbers: a one-set level
+    with ``entries`` ways whose "lines" are pages."""
+
+    __slots__ = ()
+
+    def __init__(self, spec: TLBSpec) -> None:
+        super().__init__(CacheLevelSpec(spec.entries * spec.page_bytes,
+                                        spec.entries, spec.page_bytes))
 
 
 class CacheSim:

@@ -175,6 +175,8 @@ class MachineSpec:
         paper's machines were actually in.  All experiments use
         ``scaled(64)`` machines by default.
         """
+        if factor < 1:
+            raise ValueError(f"cache scale must be >= 1, got {factor}")
         h = self.hierarchy
 
         def shrink(level: CacheLevelSpec) -> CacheLevelSpec:

@@ -27,6 +27,19 @@ class TestLevelSpec:
             CacheLevelSpec(32, 8, 64).n_sets
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("make,field", [
+        (lambda: CacheLevelSpec(512, 0, 64), "CacheLevelSpec.ways"),
+        (lambda: CacheLevelSpec(512, -2, 64), "CacheLevelSpec.ways"),
+        (lambda: CacheLevelSpec(512, 2, 0), "CacheLevelSpec.line_bytes"),
+        (lambda: TLBSpec(0, 4096), "TLBSpec.entries"),
+        (lambda: TLBSpec(64, 0), "TLBSpec.page_bytes"),
+    ])
+    def test_non_positive_field_raises(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            make()
+
+
 class TestSetAssocLevel:
     def test_repeat_access_hits(self):
         lvl = _SetAssocLevel(CacheLevelSpec(512, 2, 64))

@@ -75,6 +75,10 @@ class TestRun:
           "--out", "unused"], "sample size must be >= 2 spans"),
         (["trace", "bfs", "--sink", "sampling", "--sample-events", "1",
           "--out", "unused"], "sample size must be >= 2 spans"),
+        (["run", "bfs", "er", "--scale", "8", "--cache-scale", "0"],
+         "cache scale must be >= 1"),
+        (["run", "bfs", "er", "--scale", "8", "--cache-scale", "-4"],
+         "cache scale must be >= 1"),
     ])
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
         assert main(argv) == 2

@@ -72,6 +72,11 @@ class TestScaled:
     def test_weights_untouched(self):
         assert XC30.scaled(64).w_atomic == XC30.w_atomic
 
+    @pytest.mark.parametrize("factor", [0, -4])
+    def test_factor_below_one_raises(self, factor):
+        with pytest.raises(ValueError, match="cache scale must be >= 1"):
+            XC30.scaled(factor)
+
 
 class TestRegistry:
     def test_all_machines_present(self):
