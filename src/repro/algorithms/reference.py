@@ -163,10 +163,7 @@ def mst_weight_reference(g: CSRGraph) -> float:
             x = parent[x]
         return x
 
-    edges = []
-    for v, w in g.edges():
-        edges.append((g.weight_of(int(v), int(w)), int(v), int(w)))
-    edges.sort()
+    edges = sorted((x, v, w) for v, w, x in g.edge_list_with_weights())
     total = 0.0
     for wt, v, w in edges:
         rv, rw = find(v), find(w)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _csr_from_keys
 
 
-def from_edges(n: int, edges, weights=None, directed: bool = False,
-               dedup: bool = True) -> CSRGraph:
+def from_edges(n: int, edges, weights=None, directed: bool = False) -> CSRGraph:
     """Build a :class:`CSRGraph` from an edge array.
 
     Parameters
@@ -17,67 +16,35 @@ def from_edges(n: int, edges, weights=None, directed: bool = False,
         Vertex count (vertices are ``0..n-1``).
     edges:
         ``(k, 2)`` array-like of endpoint pairs.  Self loops are
-        dropped; for undirected graphs each pair is mirrored.
+        dropped; for undirected graphs each pair is mirrored.  Duplicate
+        (parallel) edges are merged into one.
     weights:
-        Optional ``k``-vector of non-negative edge weights.
+        Optional ``k``-vector of non-negative edge weights; a negative
+        or NaN weight raises ``ValueError``.  Merged duplicates keep the
+        *minimum* weight (the convention that keeps SSSP well defined).
     directed:
         Build a directed graph (edges are arcs ``u -> v``).
-    dedup:
-        Drop duplicate (parallel) edges, keeping the *minimum* weight
-        among duplicates (the convention that keeps SSSP well defined).
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if len(weights) != len(edges):
             raise ValueError("weights must match edges")
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise ValueError("edge weights must be non-negative")
     if len(edges) and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
 
-    keep = edges[:, 0] != edges[:, 1]
-    edges = edges[keep]
+    src, dst = edges[:, 0], edges[:, 1]
+    keep = src != dst
+    key = (src * n + dst)[keep]
     if weights is not None:
         weights = weights[keep]
-
     if not directed:
-        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
+        key = np.concatenate([key, (dst * n + src)[keep]])
         if weights is not None:
             weights = np.concatenate([weights, weights])
-
-    if len(edges) == 0:
-        return CSRGraph(np.zeros(n + 1, dtype=np.int64),
-                        np.empty(0, dtype=np.int32),
-                        np.empty(0) if weights is not None else None,
-                        directed=directed)
-
-    if dedup:
-        if weights is not None:
-            # sort by (src, dst, weight) so the first of each run carries
-            # the minimum weight
-            order = np.lexsort((weights, edges[:, 1], edges[:, 0]))
-        else:
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        if weights is not None:
-            weights = weights[order]
-        uniq = np.ones(len(edges), dtype=bool)
-        uniq[1:] = np.any(edges[1:] != edges[:-1], axis=1)
-        edges = edges[uniq]
-        if weights is not None:
-            weights = weights[uniq]
-    else:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        if weights is not None:
-            weights = weights[order]
-
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, edges[:, 0] + 1, 1)
-    offsets = np.cumsum(counts)
-    return CSRGraph(offsets, edges[:, 1].astype(np.int32), weights,
-                    directed=directed)
+    return _csr_from_keys(n, key, weights, directed, merge_parallel=True)
 
 
 def from_networkx(g) -> CSRGraph:
@@ -126,9 +93,5 @@ def relabel_random(g: CSRGraph, seed: int = 0) -> CSRGraph:
     """
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n).astype(np.int64)
-    pairs = g.edges()
-    new_edges = perm[pairs]
-    weights = None
-    if g.weights is not None:
-        weights = np.array([g.weight_of(int(v), int(w)) for v, w in pairs])
-    return from_edges(g.n, new_edges, weights, directed=g.directed)
+    weights = None if g.weights is None else g.weights_of_edges()
+    return from_edges(g.n, perm[g.edges()], weights, directed=g.directed)

@@ -128,32 +128,36 @@ class CSRGraph:
         if not self.directed:
             return self
         if self._transpose is None:
-            src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.offsets))
-            order = np.lexsort((src, self.adj))
-            radj = src[order]
-            rdst = self.adj[order]
-            roff = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(roff, rdst + 1, 1)
-            np.cumsum(roff, out=roff)
-            rw = None if self.weights is None else self.weights[order]
-            self._transpose = CSRGraph(roff, radj, rw, directed=True, check=False)
+            src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
+            key = self.adj.astype(np.int64) * self.n + src
+            self._transpose = _csr_from_keys(self.n, key, self.weights,
+                                             directed=True, check=False)
         return self._transpose
+
+    def _listed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The source vertex of every adj entry, and the mask of the
+        entries :meth:`edges` lists: every arc, or the v < w copy of each
+        undirected edge."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
+        if self.directed:
+            return src, np.ones(len(src), dtype=bool)
+        return src, src < self.adj
 
     def edges(self) -> np.ndarray:
         """``int64[k, 2]`` array of edges; undirected edges appear once (v < w)."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
-        dst = self.adj.astype(np.int64)
-        pairs = np.stack([src, dst], axis=1)
-        if not self.directed:
-            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-        return pairs
+        src, listed = self._listed()
+        return np.stack([src[listed], self.adj[listed].astype(np.int64)], axis=1)
+
+    def weights_of_edges(self) -> np.ndarray:
+        """``float64[k]`` weights parallel to :meth:`edges` (1.0 each for
+        an unweighted graph, as :meth:`weight_of` says)."""
+        _, listed = self._listed()
+        if self.weights is None:
+            return np.ones(int(listed.sum()))
+        return self.weights[listed]
 
     def edge_list_with_weights(self) -> list[tuple[int, int, float]]:
-        pairs = self.edges()
-        out = []
-        for v, w in pairs:
-            out.append((int(v), int(w), self.weight_of(int(v), int(w))))
-        return out
+        return list(zip(*self.edges().T.tolist(), self.weights_of_edges().tolist()))
 
     def with_weights(self, weights_per_entry: np.ndarray) -> "CSRGraph":
         """A copy of this graph carrying the given per-entry weights."""
@@ -181,3 +185,46 @@ class CSRGraph:
 
     def __hash__(self):  # CSRGraph is mutable-array-backed; identity hash
         return id(self)
+
+
+def _csr_from_keys(n: int, key: np.ndarray, weights: np.ndarray | None,
+                   directed: bool, merge_parallel: bool = False,
+                   check: bool = True) -> CSRGraph:
+    """A :class:`CSRGraph` holding the arcs ``key = src * n + dst``
+    (``key`` is sorted in place).
+
+    ``adj`` is int32, so ``n < 2**31`` and an int64 key stays below
+    ``2**62``.  The arcs are sorted on the key alone; the weights follow
+    a stable sort, so those of equal keys keep their input order.  With
+    ``merge_parallel`` each run of equal keys becomes one arc carrying
+    the run's minimum weight (weights must then be non-negative).
+    """
+    if weights is not None:
+        weights = weights[np.argsort(key, kind="stable")]
+    key.sort()
+    if merge_parallel:
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        key = key[first]
+        if weights is not None:
+            weights = _run_minimum(weights, np.flatnonzero(first))
+    offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    return CSRGraph(offsets, key % n, weights, directed=directed, check=check)
+
+
+def _run_minimum(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The minimum of each run of non-negative ``weights`` (runs begin at
+    ``starts``), in the bytes of the run's earliest minimal entry.
+
+    Equal non-negative weights are byte-identical except a tied
+    ``-0.0``/``+0.0`` pair, of which ``np.minimum`` may return either;
+    a run holding a zero has a zero minimum, so it takes its earliest
+    zero.
+    """
+    low = np.minimum.reduceat(weights, starts)
+    zeros = np.flatnonzero(weights == 0)
+    run = np.searchsorted(starts, zeros, side="right") - 1
+    earliest = np.ones(len(zeros), dtype=bool)
+    earliest[1:] = run[1:] != run[:-1]
+    low[run[earliest]] = weights[zeros[earliest]]
+    return low

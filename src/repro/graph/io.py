@@ -61,8 +61,5 @@ def write_edge_list(g: CSRGraph, path_or_file) -> None:
             return
     fh: io.TextIOBase = path_or_file
     fh.write(f"# repro edge list: n={g.n} m={g.m} directed={g.directed}\n")
-    for v, w in g.edges():
-        if g.weights is not None:
-            fh.write(f"{v} {w} {g.weight_of(int(v), int(w))}\n")
-        else:
-            fh.write(f"{v} {w}\n")
+    for v, w, x in g.edge_list_with_weights():
+        fh.write(f"{v} {w} {x}\n" if g.weights is not None else f"{v} {w}\n")

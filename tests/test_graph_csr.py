@@ -47,6 +47,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_edges(3, [(0, 1)], weights=[-1.0])
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            from_edges(3, [(0, 1), (1, 2)], weights=[np.nan, 1.0])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             from_edges(3, [(0, 5)])
@@ -86,6 +90,14 @@ class TestQueries:
     def test_weight_of_missing_raises(self, tiny_graph):
         with pytest.raises(KeyError):
             tiny_graph.weight_of(1, 3)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edge_list_with_weights_matches_weight_of(self, directed):
+        g = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 1)],
+                       weights=[1.5, 2.0, 0.25, 4.0, 3.0, 7.0], directed=directed)
+        expect = [(int(v), int(w), g.weight_of(int(v), int(w))) for v, w in g.edges()]
+        assert g.edge_list_with_weights() == expect
+        assert list(g.weights_of_edges()) == [x for _, _, x in expect]
 
     def test_edges_each_once(self, tiny_graph):
         e = tiny_graph.edges()
@@ -172,3 +184,87 @@ class TestProperties:
         g = from_edges(n, edges)
         assert g.offsets[0] == 0 and g.offsets[-1] == len(g.adj)
         assert np.all(np.diff(g.offsets) >= 0)
+
+
+def lexsort_build(n, edges, weights, directed):
+    """The CSR arrays of ``from_edges`` as a two/three-key ``lexsort``
+    computes them: sort by (src, dst, weight), keep the first of each
+    run of equal (src, dst)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    keep = edges[:, 0] != edges[:, 1]
+    edges = edges[keep]
+    if weights is not None:
+        weights = weights[keep]
+    if not directed:
+        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
+        if weights is not None:
+            weights = np.concatenate([weights, weights])
+    if weights is not None:
+        order = np.lexsort((weights, edges[:, 1], edges[:, 0]))
+        weights = weights[order]
+    else:
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+    edges = edges[order]
+    uniq = np.ones(len(edges), dtype=bool)
+    uniq[1:] = np.any(edges[1:] != edges[:-1], axis=1)
+    edges = edges[uniq]
+    if weights is not None:
+        weights = weights[uniq]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(counts, edges[:, 0] + 1, 1)
+    return np.cumsum(counts), edges[:, 1].astype(np.int32), weights
+
+
+def lexsort_transpose(g):
+    """The CSR arrays of ``g.transposed()`` as a (dst, src) ``lexsort``
+    computes them."""
+    src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.offsets))
+    order = np.lexsort((src, g.adj))
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    np.add.at(offsets, g.adj[order] + 1, 1)
+    np.cumsum(offsets, out=offsets)
+    return offsets, src[order], None if g.weights is None else g.weights[order]
+
+
+def assert_same_bytes(g, offsets, adj, weights):
+    for got, want in ((g.offsets, offsets), (g.adj, adj), (g.weights, weights)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def build_inputs(draw, max_n=12, max_m=40):
+    """Edge lists with duplicates and self loops, and (maybe) small
+    integer weights, so ties -- ``-0.0`` against ``+0.0`` too -- are
+    common."""
+    n = draw(st.integers(0, max_n))
+    m = draw(st.integers(0, max_m)) if n else 0
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
+    weights = draw(st.none() | st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+                                        min_size=m, max_size=m))
+    return n, edges, weights, draw(st.booleans())
+
+
+class TestSingleKeyBuild:
+    """``from_edges`` and ``transposed()`` sort one int64 key; their
+    arrays must equal, byte for byte, those of the lexsort build."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(build_inputs())
+    def test_matches_lexsort_build(self, inputs):
+        n, edges, weights, directed = inputs
+        g = from_edges(n, edges, weights, directed=directed)
+        assert_same_bytes(g, *lexsort_build(n, edges, weights, directed))
+        if directed:
+            assert_same_bytes(g.transposed(), *lexsort_transpose(g))
+
+    def test_signed_zero_tie_keeps_earliest(self):
+        for weights in ([0.0, -0.0, -0.0], [-0.0, 0.0, 0.0]):
+            g = from_edges(2, [(0, 1)] * 3, weights, directed=True)
+            assert np.signbit(g.weights[0]) == np.signbit(weights[0])
