@@ -31,9 +31,7 @@ from repro.analysis.crosscheck import (
     predicted_cost,
 )
 from repro.analysis.dm_race import DMRaceDetector, attach_dm_race_detector
-from repro.analysis.dm_runner import (
-    DMAnalysisRun, analyze_dm, cross_edges, run_one_dm,
-)
+from repro.analysis.dm_runner import DMAnalysisRun, analyze_dm, run_one_dm
 from repro.analysis.effect_report import render_json, render_text, write_report
 from repro.analysis.effects import (
     EffectFinding, EffectReport, KernelEffects, PhaseSignature,
@@ -51,7 +49,7 @@ __all__ = [
     "KernelEffects", "LintFinding", "PhaseSignature", "Race",
     "RaceDetectingMemory", "RaceError", "RaceReport", "analyze_algorithms",
     "analyze_dm", "analyze_effects", "attach_dm_race_detector",
-    "attach_race_detector", "cross_edges", "crosscheck", "dm_crosscheck",
+    "attach_race_detector", "crosscheck", "dm_crosscheck",
     "effects_source", "lint_file", "lint_paths", "lint_source",
     "predicted_cost", "render_json", "render_text", "run_one", "run_one_dm",
     "write_report",

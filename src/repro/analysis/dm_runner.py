@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.analysis.crosscheck import DMCommCheckResult, dm_crosscheck
 from repro.analysis.dm_race import attach_dm_race_detector
 from repro.analysis.race import RaceReport
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import Partition1D
+from repro.graph.partition_strategies import edge_cut
 from repro.kernels import find, select, unique
 from repro.machine.cost_model import XC40, MachineSpec
 from repro.runtime.dm import DMRuntime
@@ -33,12 +31,6 @@ DM_MATRIX = tuple(
 
 #: round budget of every DM cell (PageRank's iteration count)
 _BUDGET = 3
-
-
-def cross_edges(g: CSRGraph, part: Partition1D) -> int:
-    """Directed edges whose endpoints live on different processes."""
-    srcs = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.offsets))
-    return int((part.owner(srcs) != part.owner(g.adj)).sum())
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,7 @@ def run_one_dm(algorithm: str, g: CSRGraph, variant: str, P: int = 4,
     report = detector.report()
     check = dm_crosscheck(
         algorithm, variant, result.counters,
-        m_cross=cross_edges(g, rt.part), P=P,
+        m_cross=edge_cut(g, rt.part), P=P,
         supersteps=max(1, report.epochs),
         rounds=spec.rounds(result, g.max_degree), slack=slack)
     return DMAnalysisRun(

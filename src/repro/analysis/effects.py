@@ -64,18 +64,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.lint import (
-    ATOMIC_DECLS, REGION_METHODS, RUNTIME_NAMES, STORE_DECLS,
-    _direction_compared, _name_direction,
-)
-
 SEVERITY = {
     "ANL101": "error", "ANL102": "error", "ANL103": "advice",
     "ANL104": "advice", "ANL105": "error",
 }
 
-#: write-effect memory verbs (lock taken as a write-side critical section)
-WRITE_VERBS = {"write", "cas", "faa", "lock"}
+#: region-launch method -> positional index of its body argument
+REGION_METHODS = {"parallel_for": 1, "for_each_thread": 0, "sequential": 0}
+#: DM runtime receivers whose comm verbs the passes read (keeps ufunc
+#: methods like ``np.add.accumulate`` / ``itertools.accumulate`` out)
+RUNTIME_NAMES = {"rt", "runtime"}
+#: receivers treated as the instrumented memory model
+MEMORY_NAMES = {"mem", "memory"}
+#: store (write-effect) memory verbs; lock is a write-side critical section
+STORE_DECLS = {"write", "cas", "faa", "lock"}
+ATOMIC_DECLS = {"cas", "faa", "lock"}
+DIRECTION_CONSTS = {"PUSH": "push", "PUSH_PA": "push", "PULL": "pull",
+                    "push": "push", "push-pa": "push", "pull": "pull"}
 #: GraphArrays field -> registered-name suffix
 GRAPH_ARRAY_FIELDS = {"off": "offsets", "adj": "adj", "wgt": "weights"}
 #: data-carrying DM verbs that require a registered window
@@ -198,6 +203,36 @@ class EffectReport:
         return not self.errors()
 
 
+def _direction_compared(test: ast.expr) -> str | None:
+    """'push'/'pull' if ``test`` is a ``direction == PUSH``-style compare."""
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Eq)):
+        return None
+    for side in (test.left, test.comparators[0]):
+        if isinstance(side, ast.Name) and side.id in DIRECTION_CONSTS:
+            return DIRECTION_CONSTS[side.id]
+        if isinstance(side, ast.Constant) and side.value in DIRECTION_CONSTS:
+            return DIRECTION_CONSTS[side.value]
+    return None
+
+
+def _name_direction(chain: Iterable[str]) -> str | None:
+    """Innermost-first scan of a qualname chain for push/pull markers."""
+    for name in chain:
+        low = name.lower()
+        has_push, has_pull = "push" in low, "pull" in low
+        if has_push and not has_pull:
+            return "push"
+        if has_pull and not has_push:
+            return "pull"
+    return None
+
+
+def _mem_receiver(f: ast.Attribute) -> bool:
+    """True for ``mem.<verb>`` / ``rt.mem.<verb>``-shaped receivers."""
+    return _trailing(f.value) in MEMORY_NAMES
+
+
 def _pattern_overlap(a: str, b: str) -> bool:
     """Do two (possibly glob) array names denote overlapping storage?"""
     return fnmatch.fnmatchcase(a, b) or fnmatch.fnmatchcase(b, a)
@@ -266,6 +301,50 @@ class _Hints:
         return any(_covers_name(n, self.disjoint) for n in names)
 
 
+def _is_direction_elif(node: ast.If, d: str | None) -> bool:
+    """Is this If the head of a multi-way direction dispatch chain?"""
+    return (d is not None and len(node.orelse) == 1
+            and isinstance(node.orelse[0], ast.If)
+            and _direction_compared(node.orelse[0].test) is not None)
+
+
+def _else_ctx(node: ast.If, d: str | None, saved, in_chain: bool):
+    """Direction context of an If's else branch.  A plain two-way
+    ``if direction == PUSH: ... else: ...`` classifies the else as the
+    opposite direction; the trailing else of a multi-way elif chain
+    (``if PULL ... elif PUSH ... else: <PA>``) is *neither*."""
+    if d is None:
+        return saved
+    if _is_direction_elif(node, d) or in_chain:
+        return None
+    return "pull" if d == "push" else "push"
+
+
+class _DirectionVisitor(ast.NodeVisitor):
+    """Visitor that tracks the direction branch (``self._ctx``: "push",
+    "pull" or None) each statement sits under, by :func:`_else_ctx`."""
+
+    _ctx: str | None = None
+
+    def visit_If(self, node: ast.If, in_chain: bool = False) -> None:
+        d = _direction_compared(node.test)
+        saved = self._ctx
+        self.visit(node.test)
+        self._ctx = d or saved
+        self._visit_then(node)
+        self._ctx = _else_ctx(node, d, saved, in_chain)
+        if _is_direction_elif(node, d):
+            self.visit_If(node.orelse[0], in_chain=True)
+        else:
+            for stmt in node.orelse:
+                self.visit(stmt)
+        self._ctx = saved
+
+    def _visit_then(self, node: ast.If) -> None:
+        for stmt in node.body:
+            self.visit(stmt)
+
+
 @dataclass
 class _Launch:
     """One region/superstep launch site."""
@@ -282,7 +361,7 @@ class _Launch:
     line: int
 
 
-class _ModuleInfo(ast.NodeVisitor):
+class _ModuleInfo(_DirectionVisitor):
     """Single-pass module index: functions, launches, handle names,
     windows, annotate labels, call edges, imports."""
 
@@ -291,7 +370,6 @@ class _ModuleInfo(ast.NodeVisitor):
         self.hints = _Hints(source)
         self.scopes: list[dict] = [{}]
         self.stack: list[tuple] = []
-        self.ctx_stack: list[str | None] = [None]
         self.defs_ctx: dict[int, str | None] = {}
         self.defs_chain: dict[int, tuple] = {}
         self.funcs: list[ast.AST] = []
@@ -331,7 +409,7 @@ class _ModuleInfo(ast.NodeVisitor):
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.scopes[-1][node.name] = node
         self.funcs.append(node)
-        self.defs_ctx[id(node)] = self.ctx_stack[-1]
+        self.defs_ctx[id(node)] = self._ctx
         chain = (node.name,) + tuple(n for n, _ in reversed(self.stack))
         self.defs_chain[id(node)] = chain
         if not self.stack:
@@ -340,10 +418,10 @@ class _ModuleInfo(ast.NodeVisitor):
             self.methods.setdefault(node.name, []).append(node)
         self.stack.append((node.name, node))
         self.scopes.append({})
-        self.ctx_stack.append(None)
+        saved, self._ctx = self._ctx, None
         for stmt in node.body:
             self.visit(stmt)
-        self.ctx_stack.pop()
+        self._ctx = saved
         self.scopes.pop()
         self.stack.pop()
 
@@ -357,21 +435,6 @@ class _ModuleInfo(ast.NodeVisitor):
             self.visit(stmt)
         self.scopes.pop()
         self.stack.pop()
-
-    def visit_If(self, node: ast.If, in_chain: bool = False) -> None:
-        d = _direction_compared(node.test)
-        saved = self.ctx_stack[-1]
-        self.visit(node.test)
-        self.ctx_stack[-1] = d or saved
-        for stmt in node.body:
-            self.visit(stmt)
-        self.ctx_stack[-1] = _else_ctx(node, d, saved, in_chain)
-        if _is_direction_elif(node, d):
-            self.visit_If(node.orelse[0], in_chain=True)
-        else:
-            for stmt in node.orelse:
-                self.visit(stmt)
-        self.ctx_stack[-1] = saved
 
     # -- handle / window registration -----------------------------------------
     def _note_register(self, target: ast.AST, value: ast.AST) -> None:
@@ -455,39 +518,20 @@ class _ModuleInfo(ast.NodeVisitor):
                 barrier = bool(kw.value.value)
         chain = tuple(n for n, _ in reversed(self.stack))
         # snapshot the bindings as of this statement: a later def reusing
-        # the same body name (push/pull variants) must not shadow it
+        # the same body name (push/pull variants) must not shadow it.  A
+        # launch inside a function sees module globals as they are once
+        # the module has loaded, so it keeps the live module scope
+        # (bodies defined below the launching function still resolve).
+        scopes = [dict(s) for s in self.scopes]
+        if self.stack:
+            scopes[0] = self.scopes[0]
         self.launches.append(_Launch(
             call=node, method=method, body_expr=body, enclosing=enc,
-            chain=chain, scopes=[dict(s) for s in self.scopes],
-            ctx=self.ctx_stack[-1],
+            chain=chain, scopes=scopes,
+            ctx=self._ctx,
             by_owner=bool(by_owner),
             barrier=(barrier if barrier is not None else True),
             line=node.lineno))
-
-
-def _opp(direction: str | None) -> str | None:
-    if direction is None:
-        return None
-    return "pull" if direction == "push" else "push"
-
-
-def _is_direction_elif(node: ast.If, d: str | None) -> bool:
-    """Is this If the head of a multi-way direction dispatch chain?"""
-    return (d is not None and len(node.orelse) == 1
-            and isinstance(node.orelse[0], ast.If)
-            and _direction_compared(node.orelse[0].test) is not None)
-
-
-def _else_ctx(node: ast.If, d: str | None, saved, in_chain: bool):
-    """Direction context of an If's else branch.  A plain two-way
-    ``if direction == PUSH: ... else: ...`` classifies the else as the
-    opposite direction; the trailing else of a multi-way elif chain
-    (``if PULL ... elif PUSH ... else: <PA>``) is *neither*."""
-    if d is None:
-        return saved
-    if _is_direction_elif(node, d) or in_chain:
-        return None
-    return _opp(d)
 
 
 def _ifexp_arms(expr: ast.AST) -> list[ast.AST]:
@@ -527,7 +571,7 @@ _PROPAGATING_NP = {"unique", "concatenate", "repeat", "asarray", "sort",
                    "array", "setdiff1d", "intersect1d"}
 
 
-class _PhaseScan(ast.NodeVisitor):
+class _PhaseScan(_DirectionVisitor):
     """Abstract interpretation of one phase body: declared accesses with
     index provenance, direction branches, ownership guards, DM verbs."""
 
@@ -542,7 +586,6 @@ class _PhaseScan(ast.NodeVisitor):
         self.ownership_checked = False
         self.selections: dict[str, str] = {}
         self.called: set[str] = set()
-        self._ctx: str | None = None
         self._guard = 0
         self._items_prov = items_prov
 
@@ -686,25 +729,11 @@ class _PhaseScan(ast.NodeVisitor):
         return out
 
     # -- statements -----------------------------------------------------------
-    def visit_If(self, node: ast.If, in_chain: bool = False) -> None:
-        d = _direction_compared(node.test)
+    def _visit_then(self, node: ast.If) -> None:
         guard = self._is_ownership_guard(node.test)
-        saved = self._ctx
-        self.visit(node.test)
-        self._ctx = d or saved
-        if guard:
-            self._guard += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if guard:
-            self._guard -= 1
-        self._ctx = _else_ctx(node, d, saved, in_chain)
-        if _is_direction_elif(node, d):
-            self.visit_If(node.orelse[0], in_chain=True)
-        else:
-            for stmt in node.orelse:
-                self.visit(stmt)
-        self._ctx = saved
+        self._guard += guard
+        super()._visit_then(node)
+        self._guard -= guard
 
     def _is_ownership_guard(self, test: ast.AST) -> bool:
         for sub in ast.walk(test):
@@ -801,11 +830,8 @@ class _PhaseScan(ast.NodeVisitor):
         f = node.func
         if isinstance(f, ast.Attribute):
             recv = f.value
-            recv_name = _trailing(recv)
-            if f.attr in STORE_DECLS | {"read"} and node.args and (
-                    recv_name in ("mem", "memory")
-                    or (isinstance(recv, ast.Attribute)
-                        and recv.attr == "mem")):
+            if (f.attr in STORE_DECLS | {"read"} and node.args
+                    and _mem_receiver(f)):
                 self._note_mem(node, f.attr)
             elif f.attr == "owned_write_check":
                 self.ownership_checked = True
@@ -878,7 +904,7 @@ class _PhaseScan(ast.NodeVisitor):
     def writes(self) -> set[str]:
         out = set()
         for op in self.ops:
-            if op["verb"] in WRITE_VERBS:
+            if op["verb"] in STORE_DECLS:
                 out.update(op["arrays"])
                 out.update(op["covers"])
         for r in self.comm.get("rma", ()):
@@ -983,19 +1009,13 @@ def _flat_write_set(mod: _ModuleInfo, fn: ast.AST) -> tuple[set, set]:
     body = getattr(fn, "body", None)
     if isinstance(body, list):
         # walk everything including nested defs: a flat over-approximation
-        class _All(ast.NodeVisitor):
-            def visit_Call(inner, node):     # noqa: N805
-                scan.visit_Call(node)
         for stmt in body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     f = node.func
                     if isinstance(f, ast.Attribute):
-                        recv_name = _trailing(f.value)
-                        if f.attr in STORE_DECLS and node.args and (
-                                recv_name in ("mem", "memory")
-                                or (isinstance(f.value, ast.Attribute)
-                                    and f.value.attr == "mem")):
+                        if (f.attr in STORE_DECLS and node.args
+                                and _mem_receiver(f)):
                             scan._note_mem(node, f.attr)
                         elif (isinstance(f.value, ast.Name)
                                 and f.value.id in RUNTIME_NAMES
@@ -1047,15 +1067,22 @@ def _phase_label(mod: _ModuleInfo, launch: _Launch, body_fn) -> str:
     return f"L{launch.line}"
 
 
-def _phase_direction(mod: _ModuleInfo, launch: _Launch, body_fn,
-                     scan: _PhaseScan) -> tuple[str | None, str]:
+def _body_identity(mod: _ModuleInfo, launch: _Launch,
+                   body_fn) -> tuple[str, str | None]:
+    """(qualname, declared direction) of a launch's resolved body.  The
+    declared direction is the branch the def (or, for a lambda, the
+    launch) sits under, else a push/pull marker in the name chain."""
     if isinstance(body_fn, ast.Lambda):
-        chain = launch.chain
-        def_ctx = launch.ctx
+        qual = (".".join(reversed(launch.chain)) or "<module>") + ".<lambda>"
+        chain, def_ctx = launch.chain, launch.ctx
     else:
-        chain = mod.defs_chain.get(id(body_fn), (body_fn.name,))
-        def_ctx = mod.defs_ctx.get(id(body_fn)) or launch.ctx
-    declared = def_ctx or _name_direction(chain)
+        chain = mod.defs_chain[id(body_fn)]
+        qual = ".".join(reversed(chain))
+        def_ctx = mod.defs_ctx[id(body_fn)] or launch.ctx
+    return qual, def_ctx or _name_direction(chain)
+
+
+def _inferred_direction(scan: _PhaseScan) -> str:
     neighbor_writes = any(
         op["verb"] in {"write", "cas", "faa"} and op["index"] == NEIGHBOR
         for op in scan.ops)
@@ -1063,12 +1090,10 @@ def _phase_direction(mod: _ModuleInfo, launch: _Launch, body_fn,
         op["verb"] == "read" and op["index"] == NEIGHBOR
         for op in scan.ops)
     if neighbor_writes:
-        inferred = "push"
-    elif neighbor_reads:
-        inferred = "pull"
-    else:
-        inferred = "local"
-    return declared, inferred
+        return "push"
+    if neighbor_reads:
+        return "pull"
+    return "local"
 
 
 def _atomic_verdict(op: dict, hints: _Hints) -> str:
@@ -1100,13 +1125,9 @@ def _scan_launch(mod: _ModuleInfo, launch: _Launch, kernel: str,
         scan.seed_from(launch.enclosing, launch.line)
     scan.scan(body_fn)
     _expand_helpers(mod, launch, scan, body_fn, superstep)
-    declared, inferred = _phase_direction(mod, launch, body_fn, scan)
+    qual, declared = _body_identity(mod, launch, body_fn)
+    inferred = _inferred_direction(scan)
     label = _phase_label(mod, launch, body_fn)
-    if isinstance(body_fn, ast.Lambda):
-        qual = ".".join(reversed(launch.chain) or ("<module>",)) + ".<lambda>"
-    else:
-        qual = ".".join(reversed(mod.defs_chain.get(
-            id(body_fn), (body_fn.name,))))
     kind = ("superstep" if superstep
             else "sequential" if launch.method == "sequential"
             else "parallel")

@@ -4,7 +4,7 @@ The instrumented-algorithm convention is that every mutation of shared
 state inside a parallel region is *declared* to the memory model, and
 that remote writes in push kernels go through the atomic/lock
 primitives (Section 3.8).  These properties are checkable from the AST
-without running anything; four rules are enforced:
+without running anything; six rules are enforced:
 
 ``ANL001`` (unaccounted-store)
     A parallel-region body stores into a shared array (subscript
@@ -52,8 +52,16 @@ without running anything; four rules are enforced:
 
 Direction classification is heuristic but matches the repo's idiom: a
 body (or an enclosing function) named ``*push*``/``*pull*``, or a body
-defined/storing under an ``if direction == PUSH:``-style branch.
-Unclassifiable bodies only get the direction-agnostic rules.
+defined/storing under an ``if direction == PUSH:``-style branch.  The
+``else`` of a two-way branch is the opposite direction; the trailing
+``else`` of a multi-way chain (``if PULL ... elif PUSH ... else``) is
+neither.  Unclassifiable bodies only get the direction-agnostic rules.
+
+Lint has no AST index of its own: it reads the effect pass's module
+index (:class:`repro.analysis.effects._ModuleInfo` -- launches with
+per-launch scope snapshots, barriers, call edges, function defs) and
+shares its body resolution and direction rules, so both passes see the
+same region bodies with the same directions.
 """
 
 from __future__ import annotations
@@ -63,19 +71,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-REGION_METHODS = {"parallel_for": 1, "for_each_thread": 0, "sequential": 0}
-#: DM runtime receivers whose comm verbs ANL005 checks (keeps ufunc
-#: methods like ``np.add.accumulate`` / ``itertools.accumulate`` out)
-RUNTIME_NAMES = {"rt", "runtime"}
+from repro.analysis.effects import (
+    ATOMIC_DECLS, RUNTIME_NAMES, STORE_DECLS, _body_identity,
+    _DirectionVisitor, _Launch, _mem_receiver, _ModuleInfo, _resolve_fn,
+    _trailing,
+)
+
 RMA_VERBS = {"put", "accumulate", "rma_put", "rma_accumulate"}
-STORE_DECLS = {"write", "cas", "faa", "lock"}
-#: receivers ANL006 treats as the instrumented memory model
-MEMORY_NAMES = {"mem", "memory"}
-ATOMIC_DECLS = {"cas", "faa", "lock"}
 SCATTER_UFUNCS = {"add", "subtract", "minimum", "maximum", "multiply",
                   "bitwise_or", "bitwise_and", "logical_or", "logical_and"}
-DIRECTION_CONSTS = {"PUSH": "push", "PUSH_PA": "push", "PULL": "pull",
-                    "push": "push", "push-pa": "push", "pull": "pull"}
 
 
 @dataclass(frozen=True)
@@ -90,43 +94,10 @@ class LintFinding:
         return f"{self.path}:{self.line}: {self.rule} [{self.func}] {self.message}"
 
 
-def _opposite(direction: str) -> str:
-    return "pull" if direction == "push" else "push"
-
-
-def _direction_compared(test: ast.expr) -> str | None:
-    """'push'/'pull' if ``test`` is a ``direction == PUSH``-style compare."""
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)):
-        return None
-    for side in (test.left, test.comparators[0]):
-        if isinstance(side, ast.Name) and side.id in DIRECTION_CONSTS:
-            return DIRECTION_CONSTS[side.id]
-        if isinstance(side, ast.Constant) and side.value in DIRECTION_CONSTS:
-            return DIRECTION_CONSTS[side.value]
-    return None
-
-
-def _name_direction(chain: Iterable[str]) -> str | None:
-    """Innermost-first scan of a qualname chain for push/pull markers."""
-    for name in chain:
-        low = name.lower()
-        has_push, has_pull = "push" in low, "pull" in low
-        if has_push and not has_pull:
-            return "push"
-        if has_pull and not has_push:
-            return "pull"
-    return None
-
-
 def _store_target(node: ast.AST) -> str | None:
     """Base array name of a subscript store target, if recognizable."""
     if isinstance(node, ast.Subscript):
-        base = node.value
-        if isinstance(base, ast.Name):
-            return base.id
-        if isinstance(base, ast.Attribute):
-            return base.attr
+        return _trailing(node.value)
     return None
 
 
@@ -136,19 +107,11 @@ def _scatter_target(call: ast.Call) -> str | None:
     if (isinstance(f, ast.Attribute) and f.attr == "at"
             and isinstance(f.value, ast.Attribute)
             and f.value.attr in SCATTER_UFUNCS and call.args):
-        return _store_target_or_name(call.args[0])
+        return _trailing(call.args[0])
     return None
 
 
-def _store_target_or_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-class _BodyScan(ast.NodeVisitor):
+class _BodyScan(_DirectionVisitor):
     """Collect stores/declarations/ownership-checks of one region body,
     each tagged with the direction branch it sits under (or None)."""
 
@@ -158,7 +121,6 @@ class _BodyScan(ast.NodeVisitor):
         self.ownership_checks: list[tuple] = []  # (line, ctx)
         self.local_names: set[str] = set()
         self.params: set[str] = set()
-        self._ctx: str | None = None
 
     def scan(self, fn: ast.AST, params: Iterable[str]) -> "_BodyScan":
         self.params.update(params)
@@ -168,19 +130,6 @@ class _BodyScan(ast.NodeVisitor):
         for stmt in body:
             self.visit(stmt)
         return self
-
-    # direction-branch context ------------------------------------------------
-    def visit_If(self, node: ast.If) -> None:
-        d = _direction_compared(node.test)
-        saved = self._ctx
-        self.visit(node.test)
-        self._ctx = d or saved
-        for stmt in node.body:
-            self.visit(stmt)
-        self._ctx = _opposite(d) if d else saved
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._ctx = saved
 
     # stores ------------------------------------------------------------------
     def _note_targets(self, targets: Iterable[ast.AST], line: int) -> None:
@@ -254,14 +203,6 @@ class _BodyScan(ast.NodeVisitor):
                 if n not in self.local_names]
 
 
-def _mem_receiver(f: ast.Attribute) -> bool:
-    """True for ``mem.<verb>`` / ``rt.mem.<verb>``-shaped receivers."""
-    v = f.value
-    if isinstance(v, ast.Name) and v.id in MEMORY_NAMES:
-        return True
-    return isinstance(v, ast.Attribute) and v.attr in MEMORY_NAMES
-
-
 class _DirectStoreScan(ast.NodeVisitor):
     """Store-verb calls on the instrumented memory in one function's
     *direct* body -- nested defs and lambdas are their own (possibly
@@ -324,218 +265,56 @@ class _CommScan(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
 
-@dataclass
-class _RegionBody:
-    fn: ast.AST                  # FunctionDef or Lambda target
-    qualname: str
-    chain: tuple                 # enclosing names, innermost first
-    def_ctx: str | None          # direction branch the def sits under
-    line: int
+def _resolved(info: _ModuleInfo, superstep: bool):
+    """(launch, body) per launch of one kind whose body resolves, each
+    body once (the first launch that resolves to it)."""
+    seen: set[int] = set()
+    for la in info.launches:
+        if (la.method == "superstep") != superstep:
+            continue
+        fn = _resolve_fn(la.body_expr, la.scopes)
+        if fn is not None and id(fn) not in seen:
+            seen.add(id(fn))
+            yield la, fn
 
 
-class _ModuleIndex(ast.NodeVisitor):
-    """First pass: function defs by scope, region launch sites, barriers."""
-
-    def __init__(self) -> None:
-        self.scopes: list[dict] = [{}]
-        self.stack: list[tuple] = []          # (name, node)
-        self.ctx_stack: list[str | None] = [None]
-        self.defs_ctx: dict[int, str | None] = {}
-        self.defs_chain: dict[int, tuple] = {}
-        self.region_calls: list[tuple] = []   # (call, body_expr, enclosing, chain)
-        self.barrier_calls: dict[int, bool] = {}   # id(enclosing fn) -> True
-        self.barrier_false: list[tuple] = []  # (call node, enclosing fn, chain)
-        self.superstep_calls: list[tuple] = []  # (call, body_expr, chain, scopes)
-        self.all_funcs: list[ast.AST] = []    # every function def seen
-        self.calls_in: dict[int, set] = {}    # id(fn) -> local names it calls
-
-    def _enclosing(self):
-        return self.stack[-1][1] if self.stack else None
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.scopes[-1][node.name] = node
-        self.all_funcs.append(node)
-        self.defs_ctx[id(node)] = self.ctx_stack[-1]
-        chain = (node.name,) + tuple(n for n, _ in reversed(self.stack))
-        self.defs_chain[id(node)] = chain
-        self.stack.append((node.name, node))
-        self.scopes.append({})
-        self.ctx_stack.append(None)
-        for stmt in node.body:
-            self.visit(stmt)
-        self.ctx_stack.pop()
-        self.scopes.pop()
-        self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.stack.append((node.name, None))
-        self.scopes.append({})
-        for stmt in node.body:
-            self.visit(stmt)
-        self.scopes.pop()
-        self.stack.pop()
-
-    def visit_If(self, node: ast.If) -> None:
-        d = _direction_compared(node.test)
-        saved = self.ctx_stack[-1]
-        self.visit(node.test)
-        self.ctx_stack[-1] = d or saved
-        for stmt in node.body:
-            self.visit(stmt)
-        self.ctx_stack[-1] = _opposite(d) if d else saved
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self.ctx_stack[-1] = saved
-
-    def visit_Call(self, node: ast.Call) -> None:
-        f = node.func
-        if isinstance(f, ast.Name):
-            enc = self._enclosing()
-            if enc is not None:
-                self.calls_in.setdefault(id(enc), set()).add(f.id)
-        # functools.partial(helper, ...) makes the enclosing function a
-        # caller of ``helper`` even though ``helper`` is an argument, not
-        # the callee -- without this, a non-barriering partial-wrapping
-        # caller is invisible to ANL004's all-callers check
-        if (_callee_name(f) == "partial" and node.args
-                and isinstance(node.args[0], ast.Name)):
-            enc = self._enclosing()
-            if enc is not None:
-                self.calls_in.setdefault(id(enc), set()).add(
-                    node.args[0].id)
-        if isinstance(f, ast.Attribute):
-            if f.attr in REGION_METHODS:
-                pos = REGION_METHODS[f.attr]
-                body = None
-                for kw in node.keywords:
-                    if kw.arg == "body":
-                        body = kw.value
-                if body is None and len(node.args) > pos:
-                    body = node.args[pos]
-                chain = tuple(n for n, _ in reversed(self.stack))
-                if body is not None:
-                    self.region_calls.append(
-                        (node, body, self._enclosing(), chain,
-                         list(self.scopes), self.ctx_stack[-1]))
-                for kw in node.keywords:
-                    if (kw.arg == "barrier"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is False):
-                        self.barrier_false.append(
-                            (node, self._enclosing(), chain))
-            elif f.attr == "barrier":
-                enc = self._enclosing()
-                self.barrier_calls[id(enc)] = True
-            elif f.attr == "superstep":
-                body = node.args[0] if node.args else None
-                for kw in node.keywords:
-                    if kw.arg == "body":
-                        body = kw.value
-                if body is not None:
-                    chain = tuple(n for n, _ in reversed(self.stack))
-                    self.superstep_calls.append(
-                        (node, body, chain, list(self.scopes)))
-        self.generic_visit(node)
-
-
-def _callee_name(f: ast.AST) -> str | None:
-    if isinstance(f, ast.Name):
-        return f.id
-    if isinstance(f, ast.Attribute):
-        return f.attr
-    return None
-
-
-def _body_name(body_expr: ast.AST) -> str | None:
-    """The local-function name a region body argument names, if any
-    (plain reference, lambda trampoline, or functools.partial)."""
-    if isinstance(body_expr, ast.Name):
-        return body_expr.id
-    if (isinstance(body_expr, ast.Lambda)
-            and isinstance(body_expr.body, ast.Call)
-            and isinstance(body_expr.body.func, ast.Name)):
-        return body_expr.body.func.id
-    if (isinstance(body_expr, ast.Call)
-            and _callee_name(body_expr.func) == "partial"
-            and body_expr.args):
-        return _body_name(body_expr.args[0])
-    return None
-
-
-def _resolve_body(body_expr: ast.AST, scopes: list[dict]):
-    """The FunctionDef a region's body argument refers to, if traceable."""
-    if isinstance(body_expr, ast.Name):
-        for scope in reversed(scopes):
-            if body_expr.id in scope:
-                return scope[body_expr.id]
-        return None
-    if isinstance(body_expr, ast.Lambda):
-        # unwrap `lambda: helper(...)` trampolines
-        if isinstance(body_expr.body, ast.Call) and \
-                isinstance(body_expr.body.func, ast.Name):
-            for scope in reversed(scopes):
-                if body_expr.body.func.id in scope:
-                    return scope[body_expr.body.func.id]
-        return body_expr
-    # unwrap `functools.partial(body_fn, ...)` region bodies
-    if (isinstance(body_expr, ast.Call)
-            and _callee_name(body_expr.func) == "partial"
-            and body_expr.args):
-        return _resolve_body(body_expr.args[0], scopes)
-    return None
+def _missing_barrier(info: _ModuleInfo, la: _Launch) -> bool:
+    """ANL004: ``barrier=False`` with no barrier in the launching function
+    AND none guaranteed by its callers (one-level caller expansion: a
+    helper running barrier-less regions is clean when every module-local
+    caller issues the closing ``.barrier()`` itself)."""
+    enc = la.enclosing
+    if la.barrier or info.barrier_lines.get(id(enc)):
+        return False
+    name = getattr(enc, "name", None)
+    callers = [g for g in info.funcs
+               if g is not enc and name is not None
+               and name in info.calls_from.get(id(g), ())]
+    return not (callers and all(info.barrier_lines.get(id(g))
+                                for g in callers))
 
 
 def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     """Lint one module's source; returns findings (empty = clean)."""
     try:
-        tree = ast.parse(source, filename=path)
+        info = _ModuleInfo(path, source)
     except SyntaxError as exc:
         return [LintFinding("ANL000", path, exc.lineno or 0, "<module>",
                             f"syntax error: {exc.msg}")]
-    index = _ModuleIndex()
-    index.visit(tree)
     findings: list[LintFinding] = []
 
-    # ANL004: barrier=False with no barrier in the same function AND
-    # none guaranteed by the callers (one-level caller expansion: a
-    # helper running barrier-less regions is clean when every
-    # module-local caller issues the closing .barrier() itself)
-    for call, enclosing, chain in index.barrier_false:
-        if index.barrier_calls.get(id(enclosing)):
-            continue
-        name = getattr(enclosing, "name", None)
-        callers = [g for g in index.all_funcs
-                   if g is not enclosing and name is not None
-                   and name in index.calls_in.get(id(g), ())]
-        if callers and all(index.barrier_calls.get(id(g)) for g in callers):
-            continue
-        func = ".".join(reversed(chain)) or "<module>"
-        findings.append(LintFinding(
-            "ANL004", path, call.lineno, func,
-            "region launched with barrier=False but neither the "
-            "function nor all of its callers call .barrier(): "
-            "accesses leak into the next epoch unsynchronized"))
+    for la in info.launches:
+        if la.method != "superstep" and _missing_barrier(info, la):
+            findings.append(LintFinding(
+                "ANL004", path, la.line,
+                ".".join(reversed(la.chain)) or "<module>",
+                "region launched with barrier=False but neither the "
+                "function nor all of its callers call .barrier(): "
+                "accesses leak into the next epoch unsynchronized"))
 
-    seen_bodies: set[int] = set()
-    for call, body_expr, _enc, chain, scopes, call_ctx in index.region_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is None or id(fn) in seen_bodies:
-            continue
-        seen_bodies.add(id(fn))
-        if isinstance(fn, ast.Lambda):
-            qual = ".".join(reversed(chain) or ("<module>",)) + ".<lambda>"
-            name_chain = chain
-            def_ctx = call_ctx
-            params = [a.arg for a in fn.args.args]
-        else:
-            qual = ".".join(reversed(index.defs_chain.get(id(fn), (fn.name,))))
-            name_chain = index.defs_chain.get(id(fn), (fn.name,))
-            def_ctx = index.defs_ctx.get(id(fn)) or call_ctx
-            params = [a.arg for a in fn.args.args]
-        scan = _BodyScan().scan(fn, params)
-        direction = def_ctx or _name_direction(name_chain)
+    for la, fn in _resolved(info, superstep=False):
+        qual, direction = _body_identity(info, la, fn)
+        scan = _BodyScan().scan(fn, [a.arg for a in fn.args.args])
         shared = scan.shared_stores()
 
         if shared and not scan.decls:
@@ -570,26 +349,15 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
                     "declare remote writes with atomics/locks instead"))
 
     # ANL005: untyped channels inside superstep bodies
-    seen_ss: set[int] = set()
-    for call, body_expr, chain, scopes in index.superstep_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is None or id(fn) in seen_ss:
-            continue
-        seen_ss.add(id(fn))
-        if isinstance(fn, ast.Lambda):
-            qual = ".".join(reversed(chain) or ("<module>",)) + ".<lambda>"
-        else:
-            qual = ".".join(reversed(index.defs_chain.get(id(fn), (fn.name,))))
+    for la, fn in _resolved(info, superstep=True):
+        qual, _ = _body_identity(info, la, fn)
         scan = _CommScan().scan(fn)
         expanded: set[int] = {id(fn)}
         for helper in scan.helper_calls:
-            for scope in reversed(scopes):
-                if helper in scope:
-                    h = scope[helper]
-                    if id(h) not in expanded:
-                        expanded.add(id(h))
-                        scan.scan(h)
-                    break
+            h = _resolve_fn(ast.Name(id=helper), la.scopes)
+            if h is not None and id(h) not in expanded:
+                expanded.add(id(h))
+                scan.scan(h)
         for verb, ln, missing in scan.violations:
             what = ("messages cannot be matched by inbox(tag) and evade "
                     "the epoch checker's channel discipline"
@@ -605,45 +373,32 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     # region/superstep boundary -- unreachable by region-granular
     # checkpoint/rollback (and invisible to counter reconciliation).
     # Covered = a resolved region/superstep body, or a module-local
-    # function called from one (one-level helper expansion).
-    covered: set[int] = set()
-    body_names: set[str] = set()
-    for _call, body_expr, _enc, _chain, scopes, _ctx in index.region_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is not None:
-            covered.add(id(fn))
-        name = _body_name(body_expr)
-        if name is not None:
-            body_names.add(name)
-    for _call, body_expr, _chain, scopes in index.superstep_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is not None:
-            covered.add(id(fn))
-        name = _body_name(body_expr)
-        if name is not None:
-            body_names.add(name)
+    # function called from one (one-level helper expansion).  A resolved
+    # body covers every same-named def: the if/else two-branch idiom
+    # defines ``body`` once per direction branch in the *same* scope and
+    # launches it after both defs, so the launch's scope snapshot only
+    # resolves the later def -- every same-named def is a region body
+    # somewhere, which is exactly what this rule needs.
     by_name: dict[str, list[int]] = {}
-    for fn in index.all_funcs:
+    for fn in info.funcs:
         by_name.setdefault(fn.name, []).append(id(fn))
-    # name-based coverage: the if/else two-branch idiom defines ``body``
-    # once per direction branch in the *same* scope, so scope capture
-    # only resolves the later def -- every same-named def is a region
-    # body somewhere, which is exactly what this rule needs
-    for name in body_names:
-        covered.update(by_name.get(name, ()))
+    covered: set[int] = set()
+    for la in info.launches:
+        fn = _resolve_fn(la.body_expr, la.scopes)
+        covered.update(by_name.get(getattr(fn, "name", None), ()))
     helper_ids: set[int] = set()
-    for fn in index.all_funcs:
+    for fn in info.funcs:
         if id(fn) in covered:
-            for callee in index.calls_in.get(id(fn), ()):
+            for callee in info.calls_from.get(id(fn), ()):
                 helper_ids.update(by_name.get(callee, ()))
     covered |= helper_ids
-    for fn in index.all_funcs:
+    for fn in info.funcs:
         if id(fn) in covered:
             continue
         stores = _DirectStoreScan().scan(fn).stores
         if not stores:
             continue
-        qual = ".".join(reversed(index.defs_chain.get(id(fn), (fn.name,))))
+        qual = ".".join(reversed(info.defs_chain[id(fn)]))
         verbs = sorted({v for v, _ in stores})
         findings.append(LintFinding(
             "ANL006", path, stores[0][1], qual,

@@ -7,6 +7,7 @@ from pathlib import Path
 from repro.analysis.lint import lint_file, lint_paths, lint_source
 
 ALGORITHMS_DIR = Path(__file__).parent.parent / "src" / "repro" / "algorithms"
+STREAMS_DIR = ALGORITHMS_DIR.parent / "streams"
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_push_kernel.py"
 
 
@@ -16,7 +17,7 @@ def _rules(findings):
 
 class TestShippedKernels:
     def test_algorithms_package_is_clean(self):
-        findings = lint_paths([ALGORITHMS_DIR])
+        findings = lint_paths([ALGORITHMS_DIR, STREAMS_DIR])
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_broken_fixture_is_flagged(self):
@@ -117,6 +118,75 @@ def kernel(rt, mem, h, val, direction):
 """
         findings = lint_source(src)
         assert _rules(findings) == {"ANL002"}
+
+    def test_shadowed_push_body_is_scanned(self):
+        """Each branch defines and launches its own ``body``: the push
+        launch must resolve to the push def, not the later pull one."""
+        src = """
+def kernel(rt, mem, h, val, direction):
+    if direction == PUSH:
+        def body(t, vs):
+            val[vs + 1] = 1
+            mem.write(h, idx=vs + 1, mode="rand")
+        rt.for_each_thread(body)
+    else:
+        def body(t, vs):
+            val[vs] = 1
+            mem.write(h, idx=vs, mode="rand")
+        rt.for_each_thread(body)
+"""
+        assert _rules(lint_source(src)) == {"ANL002"}
+
+    def test_elif_chain_trailing_else_body_is_unclassified(self):
+        """The trailing ``else`` of ``if PULL ... elif PUSH ... else`` is
+        neither direction, so a push-named body there stays push."""
+        src = """
+def kernel(rt, mem, h, val, direction):
+    if direction == PULL:
+        def pull_body(t, vs):
+            mem.write(h, idx=vs, mode="rand")
+        rt.for_each_thread(pull_body)
+    elif direction == PUSH:
+        def push_body(t, vs):
+            mem.cas(h, idx=vs + 1, mode="rand")
+        rt.for_each_thread(push_body)
+    else:
+        def push_pa_body(t, vs):
+            val[vs + 1] = 1
+            mem.write(h, idx=vs + 1, mode="rand")
+        rt.for_each_thread(push_pa_body)
+"""
+        assert _rules(lint_source(src)) == {"ANL002"}
+
+    def test_elif_chain_inside_push_body(self):
+        """The same chain inside a push body: the trailing ``else`` arm
+        inherits the body's push direction, not pull."""
+        src = """
+def kernel(rt, mem, h, val, direction):
+    def push_body(t, vs):
+        if direction == PULL:
+            mem.read(h, idx=vs + 1, mode="rand")
+        elif direction == PUSH:
+            mem.read(h, idx=vs, mode="rand")
+        else:
+            val[vs + 1] = 1
+            mem.write(h, idx=vs + 1, mode="rand")
+    rt.for_each_thread(push_body)
+"""
+        assert _rules(lint_source(src)) == {"ANL002"}
+
+    def test_module_level_body_defined_below_launch_is_scanned(self):
+        """Per-launch scope snapshots keep module globals live: a body
+        defined after the function that launches it still resolves."""
+        src = """
+def kernel(rt, items):
+    rt.parallel_for(items, push_body)
+
+def push_body(t, vs):
+    val[vs + 1] = 1
+    mem.write(h, idx=vs + 1, mode="rand")
+"""
+        assert _rules(lint_source(src)) == {"ANL002"}
 
     def test_anl003_ownership_check_in_push(self):
         src = """
