@@ -61,29 +61,30 @@ class PerfCounters:
     flops: int = 0              #: floating point operations (for PR-style math)
 
     def __add__(self, other: "PerfCounters") -> "PerfCounters":
-        return PerfCounters(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
+        a, b = self.__dict__, other.__dict__
+        return PerfCounters(*[a[k] + b[k] for k in _NAMES])
 
     def __iadd__(self, other: "PerfCounters") -> "PerfCounters":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        a, b = self.__dict__, other.__dict__
+        for k in _NAMES:
+            a[k] += b[k]
         return self
 
     def __sub__(self, other: "PerfCounters") -> "PerfCounters":
-        return PerfCounters(
-            **{f.name: getattr(self, f.name) - getattr(other, f.name) for f in fields(self)}
-        )
+        a, b = self.__dict__, other.__dict__
+        return PerfCounters(*[a[k] - b[k] for k in _NAMES])
 
     def copy(self) -> "PerfCounters":
-        return PerfCounters(**self.to_dict())
+        a = self.__dict__
+        return PerfCounters(*[a[k] for k in _NAMES])
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        a = self.__dict__
+        return {k: a[k] for k in _NAMES}
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for k in _NAMES:
+            setattr(self, k, 0)
 
     @staticmethod
     def total(parts: list["PerfCounters"]) -> "PerfCounters":
@@ -99,14 +100,17 @@ class PerfCounters:
         Used by experiments that run a sampled subset of the work (e.g.
         BC with sampled sources) and extrapolate the event counts.
         """
-        return PerfCounters(
-            **{f.name: int(round(getattr(self, f.name) * factor)) for f in fields(self)}
-        )
+        return PerfCounters(*[int(round(getattr(self, k) * factor))
+                              for k in _NAMES])
 
     # Human-readable rendering in the style of Table 1 ("234M", "3,169T").
     def formatted(self) -> dict:
         return {k: format_count(v) for k, v in self.to_dict().items()}
 
+
+#: field names in declaration order, looked up once: ``fields()`` is
+#: slow, and the tracer copies and diffs counter blocks per superstep
+_NAMES = tuple(f.name for f in fields(PerfCounters))
 
 _SUFFIXES = [(10**12, "T"), (10**9, "B"), (10**6, "M"), (10**3, "k")]
 

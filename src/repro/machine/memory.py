@@ -60,9 +60,7 @@ def _count(idx, count) -> int:
     """Number of items referenced by an (idx, count) access descriptor."""
     if count is not None:
         return int(count)
-    if idx is None:
-        return 1
-    if np.isscalar(idx):
+    if idx is None or type(idx) is int or np.isscalar(idx):
         return 1
     return int(np.asarray(idx).size)
 
@@ -112,7 +110,8 @@ class MemoryModel:
     # region starts/ends, and when a barrier retires.  The counting
     # models ignore all of it (CacheSimMemory overrides set_thread for
     # its private caches); repro.analysis.RaceDetectingMemory uses the
-    # full protocol to delimit conflict epochs.
+    # full protocol to delimit conflict epochs.  Both runtimes call
+    # on_reset from reset(); CountingMemory drops its miss residue there.
 
     def set_thread(self, tid: int) -> None:
         """The simulated thread now issuing accesses."""
@@ -125,6 +124,9 @@ class MemoryModel:
 
     def on_barrier(self) -> None:
         """A full barrier retired: concurrent-epoch boundary."""
+
+    def on_reset(self) -> None:
+        """The runtime zeroed its counters in place (``rt.reset()``)."""
 
     # -- data accesses ----------------------------------------------------------
     # Access descriptors: pass ``idx`` (scalar or array of item indices),
@@ -253,8 +255,16 @@ class CountingMemory(MemoryModel):
         super().__init__()
         self.hier = hierarchy or CacheHierarchySpec()
         self._line = self.hier.l1.line_bytes
+        #: L1, L2, L3 and TLB-reach capacities in bytes
+        self._caps = (self.hier.l1.size_bytes, self.hier.l2.size_bytes,
+                      self.hier.l3.size_bytes,
+                      self.hier.tlb.entries * self.hier.tlb.page_bytes)
         # integer fixed-point accumulators, flushed into counters lazily
         self._acc: dict[int, list] = {}
+        self._cur = self._acc_for(self.counters)
+        # (base, itemsize, size, n, mode) -> increments of an access
+        # without span refinement (see _touch)
+        self._memo: dict[tuple, tuple] = {}
 
     def _acc_for(self, counters: PerfCounters) -> list:
         key = id(counters)
@@ -264,42 +274,71 @@ class CountingMemory(MemoryModel):
             self._acc[key] = acc
         return acc
 
+    def set_counters(self, counters: PerfCounters) -> None:
+        self.counters = counters
+        self._cur = self._acc_for(counters)
+
+    def on_reset(self) -> None:
+        # the runtime zeroed its counters in place: their sub-miss
+        # residue goes too, so a re-run counts like a fresh model
+        self._acc.clear()
+        self._cur = self._acc_for(self.counters)
+
+    def _increments(self, n: int, itemsize: int, nbytes: int,
+                    mode: str) -> tuple:
+        """Quantized (L1, L2, L3, TLB) miss increments of ``n`` accesses
+        to ``itemsize``-byte items with a working set of ``nbytes``;
+        ``()`` when all four are zero.  ``round`` rounds half to even,
+        as ``np.rint`` does in :meth:`touch_batch`."""
+        q = self._QUANTUM
+        l1, l2, l3, tlb_reach = self._caps
+        if mode == "seq":
+            ql = round(n * itemsize / self._line * q)
+            qp = round(n * itemsize / _PAGE * q)
+            inc = (ql if nbytes > l1 else 0, ql if nbytes > l2 else 0,
+                   ql if nbytes > l3 else 0, qp if nbytes > tlb_reach else 0)
+        else:
+            inc = (round(n * max(0.0, 1.0 - l1 / nbytes) * q),
+                   round(n * max(0.0, 1.0 - l2 / nbytes) * q),
+                   round(n * max(0.0, 1.0 - l3 / nbytes) * q),
+                   round(n * max(0.0, 1.0 - tlb_reach / nbytes) * q))
+        return inc if any(inc) else ()
+
     def _touch(self, handle: ArrayHandle, idx, n: int, mode: str,
                start: int | None = None) -> None:
-        nbytes = handle.nbytes
         # Span refinement: when the random-access indices are known, the
         # effective working set is the index *span*, not the whole array --
         # road-network neighbors cluster near their vertex, so their state
         # stays cache-resident even though the full array would not.
-        if mode == "rand" and idx is not None and not np.isscalar(idx):
+        if (mode == "rand" and idx is not None and type(idx) is not int
+                and not np.isscalar(idx)):
             arr = np.asarray(idx)
             if arr.size > 1:
                 span = int(arr.max() - arr.min() + 1) * handle.itemsize
-                nbytes = min(nbytes, max(span, handle.itemsize))
-        acc = self._acc_for(self.counters)
-        q = self._QUANTUM
-        if mode == "seq":
-            lines = n * handle.itemsize / self._line
-            ql = int(np.rint(lines * q))
-            if nbytes > self.hier.l1.size_bytes:
-                acc[0] += ql
-            if nbytes > self.hier.l2.size_bytes:
-                acc[1] += ql
-            if nbytes > self.hier.l3.size_bytes:
-                acc[2] += ql
-            pages = n * handle.itemsize / _PAGE
-            if nbytes > self.hier.tlb.entries * self.hier.tlb.page_bytes:
-                acc[3] += int(np.rint(pages * q))
-        else:
-            acc[0] += int(np.rint(
-                n * max(0.0, 1.0 - self.hier.l1.size_bytes / nbytes) * q))
-            acc[1] += int(np.rint(
-                n * max(0.0, 1.0 - self.hier.l2.size_bytes / nbytes) * q))
-            acc[2] += int(np.rint(
-                n * max(0.0, 1.0 - self.hier.l3.size_bytes / nbytes) * q))
-            tlb_reach = self.hier.tlb.entries * self.hier.tlb.page_bytes
-            acc[3] += int(np.rint(
-                n * max(0.0, 1.0 - tlb_reach / nbytes) * q))  # span-refined
+                nbytes = min(handle.nbytes, max(span, handle.itemsize))
+                inc = self._increments(n, handle.itemsize, nbytes, mode)
+                if inc:
+                    self._add(inc)
+                return
+        # Without refinement the increments depend only on the handle,
+        # n and mode: one dict lookup after the first such access.
+        key = (handle.base, handle.itemsize, handle.size, n, mode)
+        inc = self._memo.get(key)
+        if inc is None:
+            inc = self._memo[key] = self._increments(
+                n, handle.itemsize, handle.nbytes, mode)
+        if inc:
+            self._add(inc)
+
+    def _add(self, inc: tuple) -> None:
+        """Add quantized increments to the current accumulator and
+        flush whole misses at once (runtimes and the tracer read the
+        counters mid-run)."""
+        acc = self._cur
+        acc[0] += inc[0]
+        acc[1] += inc[1]
+        acc[2] += inc[2]
+        acc[3] += inc[3]
         self._flush(acc)
 
     def touch_batch(self, handle: ArrayHandle, *, mode: str, counts,

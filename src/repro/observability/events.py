@@ -110,13 +110,23 @@ class TraceEvent:
         return 176 + 49 + len(self.label) + approx_value_nbytes(self.data)
 
 
+#: value types charged the flat 28 bytes without a recursive call
+_FLAT = frozenset({int, float, bool, type(None)})
+
+
 def approx_value_nbytes(v) -> int:
     """Approximate heap bytes of one JSON-shaped value (see above)."""
     if isinstance(v, dict):
-        return 64 + sum(56 + len(k) + approx_value_nbytes(x)
-                        for k, x in v.items())
+        n = 64
+        for k, x in v.items():
+            n += 56 + len(k) + (28 if type(x) in _FLAT
+                                else approx_value_nbytes(x))
+        return n
     if isinstance(v, (list, tuple)):
-        return 56 + sum(8 + approx_value_nbytes(x) for x in v)
+        n = 56
+        for x in v:
+            n += 8 + (28 if type(x) in _FLAT else approx_value_nbytes(x))
+        return n
     if isinstance(v, str):
         return 49 + len(v)
     return 28

@@ -47,6 +47,12 @@ def _nonzero(c: PerfCounters) -> dict:
     return {k: v for k, v in c.to_dict().items() if v}
 
 
+def _nonzero_since(c: PerfCounters, before: dict) -> dict:
+    """``_nonzero(c - PerfCounters(**before))`` without building either
+    block; ``before`` is a :meth:`PerfCounters.to_dict` snapshot."""
+    return {k: d for k, b in before.items() if (d := getattr(c, k) - b)}
+
+
 class Tracer:
     """Records typed events from one runtime; see the module docstring.
 
@@ -89,7 +95,7 @@ class Tracer:
         # superstep context (DM): start time + per-rank progress baselines
         self._ss_t0: float = rt.time
         self._ss_befores: list[float] = []
-        self._ss_snaps: list[PerfCounters] = []
+        self._ss_snaps: list[dict] = []
         for sink in self.sinks:
             sink.bind(self)
 
@@ -187,17 +193,14 @@ class Tracer:
         if self.wallclock is not None:
             self.wallclock.on_event(ev)
 
-    def _lanes(self) -> list[float]:
-        """Per-rank progress (mtu) within the open superstep."""
-        m = self.rt.machine
-        return [m.time(c) - b for c, b
-                in zip(self.rt.proc_counters, self._ss_befores)]
-
     def _now(self, lane: int | None) -> float:
-        """Simulated timestamp for an instant event on ``lane``."""
+        """Simulated timestamp for an instant event on ``lane``: the
+        superstep start plus that rank's progress within it."""
         if lane is None or not self._ss_befores:
             return self.rt.time
-        return self._ss_t0 + max(0.0, self._lanes()[lane])
+        progress = (self.rt.machine.time(self.rt.proc_counters[lane])
+                    - self._ss_befores[lane])
+        return self._ss_t0 + max(0.0, progress)
 
     # -- shared-memory hooks ---------------------------------------------------------
     def on_region(self, label: str, start: float, span: float,
@@ -264,18 +267,18 @@ class Tracer:
         rt = self.rt
         self._ss_t0 = rt.time
         self._ss_befores = [rt.machine.time(c) for c in rt.proc_counters]
-        self._ss_snaps = [c.copy() for c in rt.proc_counters]
+        self._ss_snaps = [c.to_dict() for c in rt.proc_counters]
 
     def on_superstep_end(self, index: int, spans: list[float],
                          stall: float) -> None:
         rt = self.rt
-        deltas = [c - s for c, s in zip(rt.proc_counters, self._ss_snaps)]
         span = max(spans) if spans else 0.0
         label = getattr(rt, "_label", "") or f"superstep-{index}"
         self._emit("superstep", ts=self._ss_t0, dur=span, label=label,
                    data={"index": int(index),
                          "spans": [float(s) for s in spans],
-                         "deltas": [_nonzero(d) for d in deltas],
+                         "deltas": [_nonzero_since(c, s) for c, s
+                                    in zip(rt.proc_counters, self._ss_snaps)],
                          "stall": float(stall)})
         t = self._ss_t0 + span
         if stall > 0:

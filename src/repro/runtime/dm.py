@@ -148,6 +148,7 @@ class DMRuntime:
             self.faults.reset()
         if self.tracer is not None:
             self.tracer.on_reset()
+        self.mem.on_reset()
         self.mem.set_counters(self.proc_counters[0])
 
     def _activate(self, p: int) -> None:

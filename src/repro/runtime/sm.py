@@ -99,6 +99,7 @@ class SMRuntime:
         # rebind accounting to thread 0: without this, events issued
         # between runs land on whichever thread happened to execute last
         self._active_thread = None
+        self.mem.on_reset()
         self.mem.set_counters(self.thread_counters[0])
         if self.tracer is not None:
             self.tracer.on_reset()

@@ -169,6 +169,9 @@ class FaultPerturbedMemory:
     def set_counters(self, counters) -> None:
         self.inner.set_counters(counters)
 
+    def on_reset(self) -> None:
+        self.inner.on_reset()
+
     def branch_cond(self, n: int = 1) -> None:
         self.inner.branch_cond(n)
 

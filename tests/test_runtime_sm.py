@@ -132,6 +132,21 @@ class TestSMRuntime:
         assert rt.thread_counters[0].reads == 7
         assert all(c.reads == 0 for c in rt.thread_counters[1:])
 
+    def test_rerun_after_reset_matches_fresh_runtime(self, comm_graph):
+        """reset() drops the memory model's sub-miss residue, so a re-run
+        on a reset runtime counts exactly like a run on a fresh one."""
+        from repro.algorithms.bfs import bfs
+
+        rt = make_runtime(comm_graph, P=4)
+        bfs(comm_graph, rt, root=0, direction="push")
+        rt.reset()
+        bfs(comm_graph, rt, root=0, direction="push")
+        fresh = make_runtime(comm_graph, P=4)
+        bfs(comm_graph, fresh, root=0, direction="push")
+        assert rt.time == fresh.time
+        assert ([c.to_dict() for c in rt.thread_counters]
+                == [c.to_dict() for c in fresh.thread_counters])
+
     def test_reset_rearms_tracer_sinks(self, er_graph, tmp_path):
         """reset() must reset attached sink state, not just the
         tracer's own baselines: the buffer clears, the rollup
