@@ -193,13 +193,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(same seed + config = identical sample)")
     tr.add_argument("--wallclock", action="store_true",
                     help="measure real seconds next to simulated mtu: "
-                         "runs an untraced twin first, reports tracer "
+                         "times 5 alternating untraced/traced runs after "
+                         "a warm-up pair, reports the median tracer "
                          "overhead and per-phase wall time, and adds a "
                          "'wallclock' block to metrics.json")
     tr.add_argument("--overhead-budget", type=float, default=None,
                     metavar="X",
-                    help="fail (exit 1) if traced wall time exceeds X times "
-                         "the untraced run (implies --wallclock)")
+                    help="fail (exit 1) if the median traced wall time "
+                         "exceeds X times the median untraced one "
+                         "(implies --wallclock)")
 
     bench = sub.add_parser(
         "bench",
@@ -219,12 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--report", default=None, metavar="PATH",
                     help="also write the machine-readable verdict "
                          "(repro-benchdiff/1) to PATH")
-    bd.add_argument("--history", default=None, metavar="PATH",
-                    help="also append the candidate to the bench-history "
-                         "timeline at PATH and print its trend")
-    bd.add_argument("--history-label", default=None, metavar="LABEL",
-                    help="snapshot label for --history (default: the "
-                         "candidate file name)")
     bs = bsub.add_parser(
         "speedup",
         help="config-vs-config winner-by-factor tables (the shape of "

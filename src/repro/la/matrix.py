@@ -33,12 +33,6 @@ class CSRMatrix:
         s = slice(self.ptr[i], self.ptr[i + 1])
         return self.indices[s], self.values[s]
 
-    def block(self, i0: int, i1: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ptr slice, indices, values) of the contiguous row block [i0, i1)."""
-        lo, hi = int(self.ptr[i0]), int(self.ptr[i1])
-        return self.ptr[i0:i1 + 1], self.indices[lo:hi], self.values[lo:hi]
-
     @property
     def nnz(self) -> int:
         return len(self.indices)
@@ -56,12 +50,6 @@ class CSCMatrix:
     def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         s = slice(self.ptr[j], self.ptr[j + 1])
         return self.indices[s], self.values[s]
-
-    def block(self, j0: int, j1: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ptr slice, indices, values) of the contiguous column block [j0, j1)."""
-        lo, hi = int(self.ptr[j0]), int(self.ptr[j1])
-        return self.ptr[j0:j1 + 1], self.indices[lo:hi], self.values[lo:hi]
 
     @property
     def nnz(self) -> int:
@@ -90,21 +78,3 @@ def adjacency_matrices(g: CSRGraph, values: np.ndarray | None = None
         csc = CSCMatrix(g.n, g.offsets, g.adj, values)
     return csr, csc
 
-
-def pull_matrix(g: CSRGraph, gin: CSRGraph | None = None) -> CSRMatrix:
-    """The CSR (pull) layout over g, reusing a precomputed transpose.
-
-    The stream kernels already hold ``gin = g.transposed()`` for their
-    incoming-edge walks; passing it here avoids transposing twice.  For
-    undirected graphs ``gin`` is ``g`` itself (A is symmetric).
-    """
-    src = gin if (g.directed and gin is not None) else (
-        g.transposed() if g.directed else g)
-    vals = src.weights if src.weights is not None else np.ones(len(src.adj))
-    return CSRMatrix(g.n, src.offsets, src.adj, vals)
-
-
-def push_matrix(g: CSRGraph) -> CSCMatrix:
-    """The CSC (push) layout over g's own arrays (outgoing edges)."""
-    vals = g.weights if g.weights is not None else np.ones(len(g.adj))
-    return CSCMatrix(g.n, g.offsets, g.adj, vals)

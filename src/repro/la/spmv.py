@@ -89,28 +89,10 @@ def spmspv_csr(A: CSRMatrix, x_idx: np.ndarray, x_val: np.ndarray,
 
 
 # -- batched-kernel primitives ------------------------------------------------
-# The stream-emitting kernels (repro.streams.kernels) evaluate whole
-# CSR/CSC blocks as one semiring product instead of looping rows in
-# Python.  These helpers are the vectorized row/column reductions they
-# are built from; each documents the per-element loop it replaces.
-
-def segment_reduce(sr: Semiring, vals: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> np.ndarray:
-    """Per-row semiring add-reduction of a CSR block's products.
-
-    Equivalent to ``[sr.add_reduce(vals[s:e]) for s, e in zip(starts,
-    ends)]`` for contiguous segments tiling ``vals``; empty rows yield
-    ``sr.zero``.  Wraps ``sr.add.reduceat``, which would otherwise
-    return the element *at* an empty segment's start.
-    """
-    k = len(starts)
-    dtype = vals.dtype if vals.dtype.kind == "f" else np.float64
-    out = np.full(k, sr.zero, dtype=dtype)
-    nonempty = np.asarray(ends) > np.asarray(starts)
-    if vals.size and nonempty.any():
-        out[nonempty] = sr.add.reduceat(vals, np.asarray(starts)[nonempty])
-    return out
-
+# The stream-emitting BFS kernels (repro.streams.kernels) evaluate whole
+# CSR/CSC blocks as one product instead of looping rows in Python.  These
+# helpers are the vectorized row/column reductions they are built from;
+# each documents the per-element loop it replaces.
 
 def masked_first_hit(flags: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Per-segment index of the first True flag, -1 when none.

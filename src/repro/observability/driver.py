@@ -22,13 +22,20 @@ byte-identical ``events.jsonl`` / ``trace.json`` / ``metrics.json`` /
 
 from __future__ import annotations
 
+import statistics
+import time
+
 from repro.kernels import TRACE_ALGORITHMS, find
 from repro.observability.export import write_outputs
 from repro.observability.hwcounters import DEFAULT_CACHE_SCALE, equip_cache_sim
 from repro.observability.tracer import attach_tracer
 
-__all__ = ["TRACE_ALGORITHMS", "default_fault_plan", "default_sm_fault_plan",
-           "run_traced", "trace_main"]
+__all__ = ["OVERHEAD_PAIRS", "TRACE_ALGORITHMS", "default_fault_plan",
+           "default_sm_fault_plan", "run_traced", "time_overhead",
+           "trace_main"]
+
+#: timed untraced/traced pairs behind ``--overhead-budget``
+OVERHEAD_PAIRS = 5
 
 
 def default_fault_plan(seed: int = 1):
@@ -108,6 +115,37 @@ def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
     return rt, tracer, spec.variant, spec.run(g, rt, budget=iterations)
 
 
+def time_overhead(untraced, traced, release=None, clock=time.perf_counter):
+    """Median wall seconds of :data:`OVERHEAD_PAIRS` alternating
+    untraced/traced runs.
+
+    A warm-up pair runs first and is discarded, so neither side pays
+    first-call costs (imports, allocator growth) inside the timed pairs,
+    and the medians keep one slow run from flipping an
+    ``--overhead-budget`` verdict.  ``release`` gets each traced result
+    except the last, outside the timed region, before the next traced
+    run starts (``trace_main`` closes that run's sinks there, so a
+    streaming sink's file is not written by two runs at once).  Returns
+    ``(untraced_s, traced_s, last traced result)``.
+    """
+    untraced_s: list[float] = []
+    traced_s: list[float] = []
+    result = None
+    for i in range(OVERHEAD_PAIRS + 1):
+        t0 = clock()
+        untraced()
+        u = clock() - t0
+        if result is not None and release is not None:
+            release(result)
+        t0 = clock()
+        result = traced()
+        t = clock() - t0
+        if i:
+            untraced_s.append(u)
+            traced_s.append(t)
+    return statistics.median(untraced_s), statistics.median(traced_s), result
+
+
 def _make_sinks(args):
     """Build the sink list the ``--sink`` flag selects (None = default
     buffer).  The streaming sink opens its file at attach, so the
@@ -151,21 +189,14 @@ def trace_main(args) -> int:
         cache_scale=args.cache_scale, engine=args.engine)
     untraced_s = None
     if wallclock:
-        import time
-
-        # warm the kernel/engine imports on a tiny instance so neither
-        # timed run pays first-import cost, then time the untraced twin
-        warm = dict(config, n=min(96, args.scale), iterations=1)
-        run_traced(args.algorithm, **warm, traced=False)
-        t0 = time.perf_counter()
-        run_traced(args.algorithm, **config, traced=False)
-        untraced_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        rt, tracer, resolved, _result = run_traced(
-            args.algorithm, **config, sinks=_make_sinks(args),
-            wallclock=True)
+        untraced_s, traced_s, (rt, tracer, resolved, _result) = \
+            time_overhead(
+                lambda: run_traced(args.algorithm, **config, traced=False),
+                lambda: run_traced(args.algorithm, **config,
+                                   sinks=_make_sinks(args), wallclock=True),
+                release=lambda run: run[1].close())
         tracer.wallclock.finish(
-            traced_s=time.perf_counter() - t0, untraced_s=untraced_s,
+            traced_s=traced_s, untraced_s=untraced_s,
             peak_sink_bytes=tracer.peak_sink_bytes)
     else:
         rt, tracer, resolved, _result = run_traced(

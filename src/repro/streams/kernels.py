@@ -1,22 +1,28 @@
-"""Stream-emitting (batched) SM kernels over the semiring substrate.
+"""Stream-emitting (batched) SM kernels.
 
-Each kernel here is the batched twin of an interpreted kernel in
-:mod:`repro.algorithms`: identical phase structure, identical event
-taxonomy, identical results -- but each phase evaluates whole vertex
-blocks as CSR/CSC semiring products (:mod:`repro.la`) and reports its
-memory traffic as :class:`~repro.streams.ops.StreamOp` batches through
-:class:`~repro.streams.memory.StreamMemory` instead of one
-``MemoryModel`` call per vertex.  Section 7.1's observation is what
+The batched engine's entry points, one per algorithm of the kernel
+table's batched rows (:mod:`repro.kernels`).  Two of them are stream
+ports: BFS and SSSP-Δ pull, whose interpreted kernels walk vertices one
+at a time, evaluate whole vertex blocks with numpy and report each
+phase's memory traffic as :class:`~repro.streams.ops.StreamOp` batches
+through :class:`~repro.streams.memory.StreamMemory` instead of one
+``MemoryModel`` call per element.  Section 7.1's observation is what
 makes this a *substrate* rather than a reformulation: iterating a CSR
 row block *is* pulling and iterating a CSC column block *is* pushing,
-so the pull kernels below are blocked CSR SpMV/SpMSpV evaluations and
-the push kernels blocked CSC ones, with the claim/combining scatter
-(`first_claim`, ``sr.add_at``) standing in for the atomics.
+so pull BFS is a blocked CSR SpMSpV with an early exit
+(:func:`masked_first_hit`) and push BFS a blocked CSC one whose
+winning CAS claims are :func:`first_claim`.
+
+PageRank, CC and SSSP-Δ push already work on a whole thread block per
+call in :mod:`repro.algorithms`, so their batched entry points run the
+interpreted kernel: a port would repeat the same event script with no
+speed gained.  They stay functions (not aliases) so a caller that
+wraps either name by identity sees two distinct kernels.
 
 The differential suite (tests/test_streams_differential.py) certifies
 byte-identical counter totals, per-phase trace deltas, and final
-states against the interpreted kernels; keep both sides in lockstep
-when editing either.
+states against the interpreted kernels; keep both sides of a stream
+port in lockstep when editing either.
 
 The DM kernels already emit their communication as per-superstep verb
 batches (``alltoallv``, staged RMA), so the batched engine treats DM
@@ -29,16 +35,16 @@ import numpy as np
 
 from repro.algorithms.bfs import BFSResult, BFSState
 from repro.algorithms.common import (
-    PULL, PUSH, GraphArrays, block_bounds, check_direction,
-    gather_edge_positions,
+    PULL, PUSH, GraphArrays, check_direction, gather_edge_positions,
 )
-from repro.algorithms.connected_components import CCResult
-from repro.algorithms.pagerank import PageRankResult
-from repro.algorithms.sssp_delta import _NO_BUCKET, SSSPResult
+from repro.algorithms.connected_components import (
+    CCResult, connected_components,
+)
+from repro.algorithms.pagerank import PageRankResult, pagerank
+from repro.algorithms.sssp_delta import _NO_BUCKET, SSSPResult, sssp_delta
 from repro.graph.csr import CSRGraph
-from repro.la.matrix import pull_matrix, push_matrix
-from repro.la.semiring import MIN_PLUS, PLUS_TIMES
-from repro.la.spmv import first_claim, masked_first_hit, segment_reduce
+from repro.la.semiring import MIN_PLUS
+from repro.la.spmv import first_claim, masked_first_hit
 from repro.runtime.frontier import ThreadLocalFrontiers
 from repro.runtime.sm import SMRuntime
 from repro.streams.memory import StreamMemory
@@ -50,125 +56,11 @@ from repro.streams.ops import concat_ranges, rand_op, seq_op
 def pagerank_batched(g: CSRGraph, rt: SMRuntime, direction: str = PULL,
                      iterations: int = 20, damping: float = 0.85,
                      tol: float | None = None) -> PageRankResult:
-    """Batched PageRank: pull = blocked CSR SpMV over PLUS_TIMES, push =
-    blocked CSC SpMV with ``add.at`` combining (the CAS stream)."""
+    """Batched PageRank: the interpreted kernel, which already updates a
+    whole thread block per call.  ``push-pa`` has no batched row."""
     check_direction(direction, (PUSH, PULL))
-    mem = rt.mem
-    st = StreamMemory(mem)
-    ga = GraphArrays(mem, g)
-    gin = g.transposed()
-    gin_arrays = GraphArrays(mem, gin, prefix="gin") if g.directed else ga
-    A_pull = pull_matrix(g, gin)
-    A_push = push_matrix(g)
-    sr = PLUS_TIMES
-    n = g.n
-    deg = np.diff(g.offsets).astype(np.float64)
-    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    rank = np.full(n, 1.0 / max(n, 1))
-    acc = np.zeros(n)
-    base = (1.0 - damping) / max(n, 1)
-
-    # registration order mirrors the interpreted kernel so both engines
-    # assign identical synthetic addresses (cache-sim equivalence)
-    rank_h = mem.register("pr.rank", rank)
-    acc_h = mem.register("pr.acc", acc)
-    deg_h = mem.register("pr.deg", deg)
-    for t in range(rt.P):
-        mem.register(f"pr.acc.block{t}", max(rt.part.size(t), 1), 8)
-
-    start_time = rt.time
-    start_counters = rt.total_counters()
-    iteration_times: list[float] = []
-    converged = False
-    it = 0
-
-    def pull_body(t: int, vs: np.ndarray) -> None:
-        if len(vs) == 0:
-            return
-        lo, hi = block_bounds(rt, vs, gin)
-        _, nbrs, _vals = A_pull.block(int(vs[0]), int(vs[-1]) + 1)
-        st.replay([
-            seq_op("read", gin_arrays.off, counts=[len(vs) + 1],
-                   starts=[int(vs[0])]),
-            seq_op("read", gin_arrays.adj, counts=[hi - lo], starts=[lo]),
-            rand_op("read", rank_h, idx=nbrs),
-            rand_op("read", deg_h, idx=nbrs),
-        ])
-        vals = sr.mul(rank[nbrs], inv_deg[nbrs])
-        sums = segment_reduce(sr, vals, gin.offsets[vs] - lo,
-                              gin.offsets[vs + 1] - lo)
-        rt.owned_write_check(vs)
-        acc[vs] = sums
-        st.replay([seq_op("write", acc_h, counts=[len(vs)],
-                          starts=[int(vs[0])])])
-        mem.flop(2 * (hi - lo))
-        mem.branch_cond((hi - lo) + len(vs))
-
-    def zero_body(t: int, vs: np.ndarray) -> None:
-        acc[vs] = 0.0
-        mem.write(acc_h, start=vs[0] if len(vs) else 0, count=len(vs))
-
-    def push_body(t: int, vs: np.ndarray) -> None:
-        if len(vs) == 0:
-            return
-        lo, hi = block_bounds(rt, vs, g)
-        _, nbrs, _vals = A_push.block(int(vs[0]), int(vs[-1]) + 1)
-        st.replay([
-            seq_op("read", ga.off, counts=[len(vs) + 1], starts=[int(vs[0])]),
-            seq_op("read", ga.adj, counts=[hi - lo], starts=[lo]),
-            seq_op("read", rank_h, counts=[len(vs)], starts=[int(vs[0])]),
-            seq_op("read", deg_h, counts=[len(vs)], starts=[int(vs[0])]),
-        ])
-        contrib = sr.mul(rank[vs], inv_deg[vs]).repeat(
-            np.diff(g.offsets[np.r_[vs, vs[-1] + 1]]))
-        sr.add_at(acc, nbrs, contrib)
-        # float accumulate == CAS loop per update (no float atomics on CPUs)
-        st.replay([rand_op("cas", acc_h, idx=nbrs)])
-        mem.flop((hi - lo) + len(vs))
-        mem.branch_cond((hi - lo) + len(vs))
-
-    deltas = np.zeros(rt.P)
-
-    def finalize_body(t: int, vs: np.ndarray) -> None:
-        if len(vs) == 0:
-            deltas[t] = 0.0
-            return
-        mem.read(acc_h, start=vs[0], count=len(vs))
-        new = base + damping * acc[vs]
-        if tol is not None:
-            deltas[t] = float(np.abs(new - rank[vs]).sum())
-            mem.read(rank_h, start=vs[0], count=len(vs))
-            mem.flop(2 * len(vs))
-        rank[vs] = new
-        mem.write(rank_h, start=vs[0], count=len(vs))
-        mem.flop(2 * len(vs))
-
-    for it in range(1, iterations + 1):
-        t0 = rt.time
-        if direction == PULL:
-            rt.annotate("pr.pull")
-            rt.for_each_thread(pull_body)
-        else:
-            rt.annotate("pr.zero")
-            rt.for_each_thread(zero_body)
-            rt.annotate("pr.push")
-            rt.for_each_thread(push_body)
-        rt.annotate("pr.finalize")
-        rt.for_each_thread(finalize_body)
-        iteration_times.append(rt.time - t0)
-        if tol is not None and deltas.sum() < tol:
-            converged = True
-            break
-
-    return PageRankResult(
-        direction=direction,
-        time=rt.time - start_time,
-        counters=rt.total_counters() - start_counters,
-        iterations=it,
-        iteration_times=iteration_times,
-        ranks=rank,
-        converged=converged,
-    )
+    return pagerank(g, rt, direction, iterations=iterations,
+                    damping=damping, tol=tol)
 
 
 # -- BFS -----------------------------------------------------------------------
@@ -301,8 +193,13 @@ def bfs_batched(g: CSRGraph, rt: SMRuntime, root: int,
 def sssp_delta_batched(g: CSRGraph, rt: SMRuntime, source: int,
                        delta: float | None = None, direction: str = PUSH,
                        max_epochs: int | None = None) -> SSSPResult:
-    """Batched Δ-Stepping over the tropical (MIN_PLUS) semiring."""
+    """Batched Δ-Stepping.  Push is the interpreted kernel, whose
+    relaxations already run per thread block; pull gathers each block's
+    bucket-masked in-edges over the tropical (MIN_PLUS) semiring."""
     check_direction(direction)
+    if direction == PUSH:
+        return sssp_delta(g, rt, source, delta=delta, direction=direction,
+                          max_epochs=max_epochs)
     if not (0 <= source < g.n):
         raise ValueError("source out of range")
     mem = rt.mem
@@ -329,12 +226,6 @@ def sssp_delta_batched(g: CSRGraph, rt: SMRuntime, source: int,
     epoch_times: list[float] = []
     inner_total = 0
 
-    src_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.offsets))
-
-    def _edges_of(vs: np.ndarray):
-        pos = gather_edge_positions(g.offsets, vs)
-        return src_of[pos], g.adj[pos], weights[pos]
-
     b = 0
     epochs = 0
     limit = max_epochs if max_epochs is not None else 4 * n + 16
@@ -346,14 +237,8 @@ def sssp_delta_batched(g: CSRGraph, rt: SMRuntime, source: int,
         b = int(pending.min())
         epochs += 1
         t0 = rt.time
-        if direction == PUSH:
-            inner_total += _epoch_push_batched(
-                g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h, bidx_h, b,
-                delta, _edges_of)
-        else:
-            inner_total += _epoch_pull_batched(
-                g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h, bidx_h, b,
-                delta)
+        inner_total += _epoch_pull_batched(
+            g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h, bidx_h, b, delta)
         epoch_times.append(rt.time - t0)
         b += 1
 
@@ -367,55 +252,6 @@ def sssp_delta_batched(g: CSRGraph, rt: SMRuntime, source: int,
         epoch_times=epoch_times,
         inner_iterations=inner_total,
     )
-
-
-def _epoch_push_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
-                        bidx_h, b, delta, edges_of) -> int:
-    sr = MIN_PLUS
-    active = np.flatnonzero(bidx == b)
-    itr = 0
-    while len(active):
-        itr += 1
-        next_active: list[np.ndarray] = []
-
-        def body(t: int, vs: np.ndarray) -> None:
-            src, nbrs, w = edges_of(vs)
-            ops = []
-            if len(vs):
-                ops.append(rand_op("read", ga.off, idx=vs,
-                                   counts=[len(vs) + 1]))
-                ops.append(rand_op("read", dist_h, idx=vs))
-            if len(nbrs) == 0:
-                st.replay(ops)
-                return
-            ops.append(seq_op("read", ga.adj, counts=[len(nbrs)]))
-            ops.append(seq_op("read", wgt_h, counts=[len(nbrs)]))
-            st.replay(ops)
-            cand = sr.mul(dist[src], w)     # tropical multiply = +
-            mem.flop(len(nbrs))
-            st.replay([rand_op("read", dist_h, idx=nbrs)])
-            mem.branch_cond(len(nbrs))
-            improving = cand < dist[nbrs]
-            tgt, val = nbrs[improving], cand[improving]
-            if len(tgt) == 0:
-                return
-            st.replay([
-                rand_op("lock", dist_h, idx=tgt, covers=[(bidx_h, tgt)]),
-                rand_op("write", dist_h, idx=tgt),
-                rand_op("write", bidx_h, idx=tgt),
-            ])
-            sr.add_at(dist, tgt, val)       # CRCW-CB combining write
-            changed = np.unique(tgt)
-            new_b = np.floor(dist[changed] / delta).astype(np.int64)
-            bidx[changed] = new_b
-            back = changed[new_b == b]
-            if len(back):
-                next_active.append(back)
-
-        rt.parallel_for(active, body, by_owner=True)
-        active = (np.unique(np.concatenate(next_active))
-                  if next_active else np.empty(0, dtype=np.int64))
-    return itr
 
 
 def _epoch_pull_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
@@ -508,140 +344,8 @@ def _epoch_pull_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
 def cc_batched(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
                pointer_jumping: bool = False,
                max_rounds: int | None = None) -> CCResult:
-    """Batched label propagation: min-label semiring products per round."""
-    check_direction(direction)
-    if g.directed:
-        raise ValueError("connected components is defined on undirected graphs")
-    sr = MIN_PLUS   # only (add=min, add_at=minimum.at) is used on labels
-    mem = rt.mem
-    st = StreamMemory(mem)
-    ga = GraphArrays(mem, g)
-    n = g.n
-    labels = np.arange(n, dtype=np.int64)
-    label_h = mem.register("cc.labels", labels)
-    active_h = mem.register("cc.active", n, 1)
-
-    start_time = rt.time
-    start_counters = rt.total_counters()
-    iteration_times: list[float] = []
-
-    active = np.arange(n, dtype=np.int64)
-    active_mask = np.ones(n, dtype=bool)
-    rounds = 0
-    limit = max_rounds if max_rounds is not None else 2 * n + 16
-
-    while len(active) and rounds < limit:
-        rounds += 1
-        t0 = rt.time
-        changed_frags: list[np.ndarray] = []
-
-        if direction == PUSH:
-            rt.annotate("cc.push")
-
-            def body(t: int, vs: np.ndarray) -> None:
-                pos = gather_edge_positions(g.offsets, vs)
-                ops = []
-                if len(vs):
-                    ops.append(rand_op("read", ga.off, idx=vs,
-                                       counts=[len(vs) + 1]))
-                    ops.append(rand_op("read", label_h, idx=vs))
-                if len(pos) == 0:
-                    st.replay(ops)
-                    return
-                nbrs = g.adj[pos]
-                srcs = np.repeat(vs, g.offsets[vs + 1] - g.offsets[vs])
-                ops.append(seq_op("read", ga.adj, counts=[len(nbrs)]))
-                ops.append(rand_op("read", label_h, idx=nbrs))
-                st.replay(ops)
-                mem.branch_cond(len(nbrs))
-                vals = labels[srcs]
-                improving = vals < labels[nbrs]
-                tgt = nbrs[improving].astype(np.int64)
-                if len(tgt) == 0:
-                    return
-                st.replay([rand_op("cas", label_h, idx=tgt, batched=True)])
-                before = labels[tgt].copy()
-                sr.add_at(labels, tgt, vals[improving])  # CAS-min combining
-                moved = np.unique(tgt[labels[tgt] < before])
-                if len(moved):
-                    changed_frags.append(moved)
-
-            rt.parallel_for(active, body, by_owner=True)
-        else:
-            rt.annotate("cc.pull")
-
-            def body(t: int, vs: np.ndarray) -> None:
-                if len(vs) == 0:
-                    return
-                mem.read(active_h, start=int(vs[0]), count=len(vs))
-                mem.branch_cond(len(vs))
-                pos = gather_edge_positions(g.offsets, vs)
-                if len(pos) == 0:
-                    return
-                nbrs = g.adj[pos]
-                st.replay([
-                    seq_op("read", ga.off, counts=[len(vs) + 1],
-                           starts=[int(vs[0])]),
-                    seq_op("read", ga.adj, counts=[len(nbrs)]),
-                    rand_op("read", label_h, idx=nbrs),
-                ])
-                mem.branch_cond(len(nbrs))
-                lo = int(g.offsets[vs[0]])
-                starts = (g.offsets[vs] - lo).astype(np.int64)
-                ends = (g.offsets[vs + 1] - lo).astype(np.int64)
-                nbr_labels = labels[nbrs]
-                out = labels[vs].copy()
-                nonempty = ends > starts
-                if nonempty.any():
-                    mins_arr = sr.add.reduceat(nbr_labels, starts[nonempty])
-                    out[nonempty] = sr.add(out[nonempty], mins_arr)
-                rt.owned_write_check(vs)
-                moved = vs[out < labels[vs]]
-                labels[vs] = out
-                st.replay([seq_op("write", label_h, counts=[len(vs)],
-                                  starts=[int(vs[0])])])
-                if len(moved):
-                    changed_frags.append(moved)
-
-            rt.for_each_thread(body)
-
-        if pointer_jumping:
-            rt.annotate("cc.jump")
-
-            def jump(t: int, vs: np.ndarray) -> None:
-                if len(vs) == 0:
-                    return
-                mem.read(label_h, start=int(vs[0]), count=len(vs))
-                mem.read(label_h, idx=labels[vs], mode="rand")
-                shorter = labels[labels[vs]]
-                moved = vs[shorter < labels[vs]]
-                rt.owned_write_check(vs)
-                labels[vs] = shorter
-                mem.write(label_h, start=int(vs[0]), count=len(vs))
-                if len(moved):
-                    changed_frags.append(moved)
-
-            rt.for_each_thread(jump)
-
-        active = (np.unique(np.concatenate(changed_frags))
-                  if changed_frags else np.empty(0, dtype=np.int64))
-        active_mask[:] = False
-        active_mask[active] = True
-
-        def frontier_write() -> None:
-            mem.write(active_h, idx=active, mode="rand")
-
-        rt.annotate("cc.frontier")
-        rt.sequential(frontier_write)
-        iteration_times.append(rt.time - t0)
-
-    return CCResult(
-        direction=direction,
-        time=rt.time - start_time,
-        counters=rt.total_counters() - start_counters,
-        iterations=rounds,
-        iteration_times=iteration_times,
-        labels=labels,
-        n_components=len(np.unique(labels)),
-        rounds=rounds,
-    )
+    """Batched label propagation: the interpreted kernel, which already
+    propagates a whole thread block's labels per call."""
+    return connected_components(g, rt, direction,
+                                pointer_jumping=pointer_jumping,
+                                max_rounds=max_rounds)

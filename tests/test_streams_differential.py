@@ -4,7 +4,7 @@ The contract of :mod:`repro.streams` is *byte identity*: running a
 kernel through the batched engine must produce exactly the counters,
 phase rollup, simulated time, and result arrays of the interpreted
 per-element kernel -- not approximately, not within tolerance.  These
-tests run every ported kernel on every generator family in both
+tests run every batched kernel on every generator family in both
 directions and compare the two engines field by field, under both the
 flat counting memory (the analytic path) and the trace-driven cache
 simulator (the merged ``access_batch`` path).

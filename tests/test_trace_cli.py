@@ -191,3 +191,55 @@ class TestTraceCommand:
         for name in ("BENCH_trace.json", "BENCH_perf.json"):
             assert json.loads((tmp_path / name).read_text()) == \
                 json.loads((root / name).read_text())
+
+
+class TestOverheadTiming:
+    """``--overhead-budget`` judges the medians of warmed, alternating
+    untraced/traced pairs, so one noisy pair cannot flip the verdict."""
+
+    @staticmethod
+    def _clock(durations):
+        """A fake ``perf_counter`` whose successive timed calls take the
+        given (untraced, traced) seconds, pair by pair."""
+        ticks, now = [], 0.0
+        for u, t in durations:
+            for d in (u, t):
+                ticks += [now, now + d]
+                now += d + 1.0
+        return iter(ticks).__next__
+
+    def _ratio(self, durations):
+        from repro.observability.driver import time_overhead
+        u, t, _ = time_overhead(lambda: None, lambda: None,
+                                clock=self._clock(durations))
+        return t / u
+
+    def test_one_outlier_pair_does_not_flip_the_verdict(self):
+        steady = [(0.005, 0.006)] * 4
+        cold = (0.005, 0.100)        # the untimed warm-up pair
+        # alone, either outlier reads over the 1.5x CI budget
+        for outlier in ((0.005, 0.020), (0.002, 0.006)):
+            for at in range(5):
+                pairs = steady[:at] + [outlier] + steady[at:]
+                assert self._ratio([cold] + pairs) == pytest.approx(1.2)
+
+    def test_a_slow_tracer_still_fails(self):
+        assert self._ratio([(0.005, 0.006)] + [(0.005, 0.010)] * 5) \
+            == pytest.approx(2.0)
+
+    def test_warms_both_paths_and_releases_all_but_the_last_run(self):
+        from repro.observability.driver import OVERHEAD_PAIRS, time_overhead
+        calls, released = [], []
+        runs = iter(range(100))
+
+        def traced():
+            calls.append("traced")
+            return next(runs)
+
+        _, _, last = time_overhead(
+            lambda: calls.append("untraced"), traced,
+            release=released.append,
+            clock=self._clock([(1.0, 1.0)] * (OVERHEAD_PAIRS + 1)))
+        assert calls == ["untraced", "traced"] * (OVERHEAD_PAIRS + 1)
+        assert released == list(range(OVERHEAD_PAIRS))
+        assert last == OVERHEAD_PAIRS
